@@ -1,6 +1,6 @@
-// Physical-operator microbenchmarks: the three join algorithms, semijoin
-// and DISTINCT, across input sizes and join fan-outs. Not a paper figure —
-// engine-level baselines that make the figure benches interpretable
+// Physical-operator microbenchmarks: scan, hash and nested-loop joins,
+// semijoin and DISTINCT, across input sizes and join fan-outs. Not a paper
+// figure — engine-level baselines that make the figure benches interpretable
 // (work-unit-to-wall-clock calibration).
 //
 // Benchmark arg: rows per input.
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cq/isolator.h"
+#include "exec/batch.h"
 #include "exec/operators.h"
 #include "sql/parser.h"
 #include "util/check.h"
@@ -35,21 +36,6 @@ void HashJoin(benchmark::State& state) {
   for (auto _ : state) {
     ExecContext ctx;
     auto out = NaturalHashJoin(left, right, &ctx);
-    HTQO_CHECK(out.ok());
-    out_rows = out->NumRows();
-    benchmark::DoNotOptimize(out);
-  }
-  state.counters["out"] = static_cast<double>(out_rows);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(state.range(0)));
-}
-
-void SortMergeJoin(benchmark::State& state) {
-  auto [left, right] = MakeInputs(static_cast<std::size_t>(state.range(0)));
-  std::size_t out_rows = 0;
-  for (auto _ : state) {
-    ExecContext ctx;
-    auto out = NaturalSortMergeJoin(left, right, &ctx);
     HTQO_CHECK(out.ok());
     out_rows = out->NumRows();
     benchmark::DoNotOptimize(out);
@@ -97,20 +83,16 @@ void DistinctOp(benchmark::State& state) {
                           static_cast<int64_t>(state.range(0)));
 }
 
-// The per-row key-hashing pass the join kernels hoist out of their build
-// and probe loops (PrecomputeKeyHashes): its isolated cost shows how much
-// of a join is pure hashing, i.e. the ceiling on what precomputation and
-// parallel hash fills can save.
+// The key extraction + hashing pass the join kernels run once per side
+// before building and probing (BuildKeyBlock): its isolated cost shows how
+// much of a join is pure hashing.
 void KeyHashPrecompute(benchmark::State& state) {
   Relation rel = MakeSyntheticRelation(
       static_cast<std::size_t>(state.range(0)), {"a", "b"}, 30, 1);
   const std::vector<std::size_t> cols = {1};
-  std::vector<std::size_t> hashes(rel.NumRows());
   for (auto _ : state) {
-    for (std::size_t r = 0; r < rel.NumRows(); ++r) {
-      hashes[r] = HashRowKey(rel.Row(r), cols);
-    }
-    benchmark::DoNotOptimize(hashes.data());
+    KeyBlock keys = BuildKeyBlock(rel, cols);
+    benchmark::DoNotOptimize(keys.hashes.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
@@ -207,14 +189,8 @@ void MergeByTagStableSort(benchmark::State& state) {
                           static_cast<int64_t>(state.range(0)));
 }
 
-// Row-vs-vectorized pairs. Each operator runs twice on identical inputs —
-// once with the batch engine off (the pre-existing row-at-a-time loops) and
-// once with it on — under names CI's compare_bench.py --pair mode matches up
-// ("XRow/<arg>" against "XVec/<arg>") to gate the geomean speedup. The two
-// sides produce byte-identical output (asserted by the equivalence suites),
-// so the ratio is pure execution-engine cost.
-
-void ScanFilterImpl(benchmark::State& state, bool vectorized) {
+// Scan with a constant filter and a column-vs-column comparison.
+void ScanFilter(benchmark::State& state) {
   const std::size_t rows = static_cast<std::size_t>(state.range(0));
   Catalog catalog;
   catalog.Put("r1", MakeSyntheticRelation(rows, {"a", "b"}, 30, 7));
@@ -230,7 +206,6 @@ void ScanFilterImpl(benchmark::State& state, bool vectorized) {
   std::size_t out_rows = 0;
   for (auto _ : state) {
     ExecContext ctx;
-    ctx.vectorized = vectorized;
     auto out = ScanAtom(*rq, 0, catalog, &ctx);
     HTQO_CHECK(out.ok());
     out_rows = out->NumRows();
@@ -240,48 +215,14 @@ void ScanFilterImpl(benchmark::State& state, bool vectorized) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(state.range(0)));
 }
-void ScanFilterRow(benchmark::State& state) { ScanFilterImpl(state, false); }
-void ScanFilterVec(benchmark::State& state) { ScanFilterImpl(state, true); }
 
-void HashJoinImpl(benchmark::State& state, bool vectorized) {
-  auto [left, right] = MakeInputs(static_cast<std::size_t>(state.range(0)));
-  std::size_t out_rows = 0;
-  for (auto _ : state) {
-    ExecContext ctx;
-    ctx.vectorized = vectorized;
-    auto out = NaturalHashJoin(left, right, &ctx);
-    HTQO_CHECK(out.ok());
-    out_rows = out->NumRows();
-    benchmark::DoNotOptimize(out);
-  }
-  state.counters["out"] = static_cast<double>(out_rows);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(state.range(0)));
-}
-void HashJoinRow(benchmark::State& state) { HashJoinImpl(state, false); }
-void HashJoinVec(benchmark::State& state) { HashJoinImpl(state, true); }
-
-void SemiJoinImpl(benchmark::State& state, bool vectorized) {
-  auto [left, right] = MakeInputs(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    ExecContext ctx;
-    ctx.vectorized = vectorized;
-    auto out = NaturalSemiJoin(left, right, &ctx);
-    HTQO_CHECK(out.ok());
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(state.range(0)));
-}
-void SemiJoinRow(benchmark::State& state) { SemiJoinImpl(state, false); }
-void SemiJoinVec(benchmark::State& state) { SemiJoinImpl(state, true); }
-
-void DistinctImpl(benchmark::State& state, bool vectorized) {
+// The engine's DISTINCT (the batch dedup kernel), next to DistinctOp's
+// Relation::Distinct.
+void SpillableDistinctOp(benchmark::State& state) {
   Relation rel = MakeSyntheticRelation(
       static_cast<std::size_t>(state.range(0)), {"a", "b"}, 20, 3);
   for (auto _ : state) {
     ExecContext ctx;
-    ctx.vectorized = vectorized;
     auto out = SpillableDistinct(rel, &ctx);
     HTQO_CHECK(out.ok());
     benchmark::DoNotOptimize(out);
@@ -289,27 +230,18 @@ void DistinctImpl(benchmark::State& state, bool vectorized) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(state.range(0)));
 }
-void DistinctRow(benchmark::State& state) { DistinctImpl(state, false); }
-void DistinctVec(benchmark::State& state) { DistinctImpl(state, true); }
 
 BENCHMARK(HashJoin)->RangeMultiplier(4)->Range(256, 65536);
-BENCHMARK(ScanFilterRow)->RangeMultiplier(4)->Range(4096, 65536);
-BENCHMARK(ScanFilterVec)->RangeMultiplier(4)->Range(4096, 65536);
-BENCHMARK(HashJoinRow)->RangeMultiplier(4)->Range(4096, 65536);
-BENCHMARK(HashJoinVec)->RangeMultiplier(4)->Range(4096, 65536);
-BENCHMARK(SemiJoinRow)->RangeMultiplier(4)->Range(4096, 65536);
-BENCHMARK(SemiJoinVec)->RangeMultiplier(4)->Range(4096, 65536);
-BENCHMARK(DistinctRow)->RangeMultiplier(4)->Range(4096, 65536);
-BENCHMARK(DistinctVec)->RangeMultiplier(4)->Range(4096, 65536);
+BENCHMARK(ScanFilter)->RangeMultiplier(4)->Range(4096, 65536);
 BENCHMARK(KeyHashPrecompute)->RangeMultiplier(4)->Range(256, 65536);
 BENCHMARK(HashJoinParallel)
     ->ArgsProduct({{16384, 65536}, {1, 2, 4, 8}});
 BENCHMARK(SemiJoinParallel)
     ->ArgsProduct({{16384, 65536}, {1, 2, 4, 8}});
-BENCHMARK(SortMergeJoin)->RangeMultiplier(4)->Range(256, 65536);
 BENCHMARK(NestedLoopJoin)->RangeMultiplier(4)->Range(256, 4096);
 BENCHMARK(SemiJoin)->RangeMultiplier(4)->Range(256, 65536);
 BENCHMARK(DistinctOp)->RangeMultiplier(4)->Range(256, 65536);
+BENCHMARK(SpillableDistinctOp)->RangeMultiplier(4)->Range(256, 65536);
 BENCHMARK(MergeByTagCounting)
     ->ArgsProduct({{16384, 65536, 262144}, {8, 64, 1024}});
 BENCHMARK(MergeByTagStableSort)

@@ -93,8 +93,6 @@ void PrintHelp() {
       "off)\n"
       "  \\cache [on|off|clear]              plan cache control; no argument\n"
       "                                     prints hit/miss/eviction stats\n"
-      "  \\vectorized [on|off]               batch engine (default on); off\n"
-      "                                     selects the row-at-a-time path\n"
       "  \\adaptive [on|off]                 adaptive loop: mid-query replans\n"
       "                                     + post-query stats feedback\n"
       "  \\explain                           toggle plan explanation\n"
@@ -382,22 +380,6 @@ bool HandleCommand(ShellState& state, const std::string& line) {
                   static_cast<unsigned long long>(s.evictions),
                   static_cast<unsigned long long>(s.singleflight_waits));
     }
-  } else if (cmd == "\\vectorized") {
-    std::string arg;
-    in >> arg;
-    if (arg == "on") {
-      state.options.use_vectorized = true;
-    } else if (arg == "off") {
-      state.options.use_vectorized = false;
-    } else if (!arg.empty()) {
-      std::printf("usage: \\vectorized [on|off]\n");
-      return true;
-    } else {
-      state.options.use_vectorized = !state.options.use_vectorized;
-    }
-    std::printf("vectorized engine %s%s\n",
-                state.options.use_vectorized ? "on" : "off",
-                state.options.use_vectorized ? "" : " (row-at-a-time path)");
   } else if (cmd == "\\adaptive") {
     std::string arg;
     in >> arg;

@@ -46,6 +46,11 @@ void MergeSubRun(const QueryRun& sub, QueryRun* into) {
       SaturatingAdd(into->ctx.rows_charged, sub.ctx.rows_charged);
   into->ctx.work_charged =
       SaturatingAdd(into->ctx.work_charged, sub.ctx.work_charged);
+  into->ctx.hash_probes =
+      SaturatingAdd(into->ctx.hash_probes, sub.ctx.hash_probes);
+  into->ctx.bloom_skips =
+      SaturatingAdd(into->ctx.bloom_skips, sub.ctx.bloom_skips);
+  into->ctx.batches = SaturatingAdd(into->ctx.batches, sub.ctx.batches);
   into->ctx.NotePeak(sub.ctx.peak_rows);
   into->plan_seconds += sub.plan_seconds;
   into->exec_seconds += sub.exec_seconds;
@@ -424,7 +429,6 @@ Result<QueryRun> HybridOptimizer::RunResolved(const ResolvedQuery& rq,
       kMaxShardLanes, options.num_threads * shard_lanes));
   run.ctx.pool = pool;
   run.ctx.num_threads = options.num_threads;
-  run.ctx.vectorized = options.use_vectorized;
   run.ctx.tracer = tracer;
   run.ctx.trace_parent = Tracer::CurrentParent(tracer);
 

@@ -108,16 +108,6 @@ struct RunOptions {
   std::size_t spill_disk_budget_bytes =
       std::numeric_limits<std::size_t>::max();
 
-  // --- Vectorized batch execution (on by default). Hot operators — scan,
-  // filter, hash join, semijoin, distinct, select-output, aggregation —
-  // process fixed-size columnar batches (kBatchRows rows) with typed tight
-  // loops and per-batch key-hash blocks instead of row-at-a-time Value
-  // dispatch. Output, meters (rows/work charges, bloom_skips, hash_probes)
-  // and spill decisions are byte-identical to the row engine at any thread
-  // count; turning this off selects the original row path for differential
-  // testing. DESIGN.md §6g.
-  bool use_vectorized = true;
-
   // Worker lanes for the parallel execution engine and decomposition
   // search. 1 (the default) is the exact serial engine; N > 1 fans the
   // partitioned join/semijoin kernels, the Yannakakis/q-HD tree waves, and

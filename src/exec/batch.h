@@ -1,18 +1,17 @@
-// Columnar batch layer for the vectorized execution engine.
+// Columnar batch layer of the execution engine.
 //
-// The row engine moves 16-byte tagged Values one at a time through
-// std::function lookups, per-row Status charges and per-candidate atomic
-// adds. This layer extracts relation columns into typed vectors — int64/date
+// This layer extracts relation columns into typed vectors — int64/date
 // payloads, doubles, interned-string pointers with dictionary codes — plus a
-// null bitmap per column and a selection vector per chunk, so the hot
-// operators can run tight per-batch loops and charge the ExecContext once
-// per batch instead of once per row.
+// null bitmap per column and a selection vector per chunk, so the operators
+// run tight per-batch loops and charge the ExecContext once per batch
+// instead of once per row.
 //
-// Equivalence contract: everything here reproduces the row engine bit for
-// bit. ElemHash/KeyBlock hashes equal Value::Hash/HashRowKey exactly (same
-// mixing constants, same integral-double folding, same std::hash for string
-// content), so the Bloom filters, bucket layouts, chain candidate counts and
-// bloom-skip meters of a vectorized join are identical to the row join's.
+// Equivalence contract: everything here reproduces the Value-level
+// semantics bit for bit. ElemHash/KeyBlock hashes equal
+// Value::Hash/HashRowKey exactly (same mixing constants, same
+// integral-double folding, same std::hash for string content), so Bloom
+// filters, bucket layouts and chain candidate counts do not depend on how a
+// key was extracted — a whole relation or one spill batch at a time.
 // ColumnElemsEqual reproduces Value::Compare()==0 exactly, including the
 // int/double numeric mix and the interned-pointer fast path. A column whose
 // values do not share one type tag degrades to ColumnClass::kGeneric, which

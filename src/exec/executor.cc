@@ -121,7 +121,7 @@ Result<Relation> ProjectToOutputVars(const ResolvedQuery& rq,
   for (VarId v : rq.cq.output_vars) names.push_back(rq.cq.vars[v].name);
   Status s = ctx->ChargeWork(join_result.NumRows());
   if (!s.ok()) return s;
-  auto out = ProjectByName(join_result, names, /*distinct=*/true, ctx);
+  auto out = ProjectByName(join_result, names, ctx);
   if (!out.ok()) return out.status();
   ctx->NotePeak(*out);
   return out;
@@ -150,54 +150,33 @@ Result<Relation> EvaluateSelectOutput(const ResolvedQuery& rq,
                                !stmt.having.empty();
 
   if (!aggregate_query) {
-    if (ctx->vectorized) {
-      // Batch path: each select item evaluates over a whole batch with
-      // column refs resolved once per node per batch (the row loop below
-      // re-resolves per cell through a std::function), then the item
-      // vectors transpose into row-major output.
-      ColumnIndexLookup col_index = [&](const Expr& ref) {
-        auto idx = AnswerColumnOf(rq, answer, ref);
-        HTQO_CHECK(idx.ok());
-        return *idx;
-      };
-      const std::size_t n_items = stmt.items.size();
-      std::vector<std::vector<Value>> item_vals(n_items);
-      for (std::size_t lo = 0; lo < answer.NumRows(); lo += kBatchRows) {
-        const std::size_t hi = std::min(lo + kBatchRows, answer.NumRows());
-        Status s = ctx->ChargeWork(hi - lo);
-        if (!s.ok()) return s;
-        for (std::size_t i = 0; i < n_items; ++i) {
-          EvalScalarBatch(stmt.items[i].expr, answer, lo, hi, col_index,
-                          &item_vals[i]);
-        }
-        Status st = ctx->ChargeRows(hi - lo);
-        if (!st.ok()) return st;
-        Value* base = output.AppendRaw(hi - lo);
-        for (std::size_t i = 0; i < n_items; ++i) {
-          for (std::size_t k = 0; k < hi - lo; ++k) {
-            base[k * n_items + i] = item_vals[i][k];
-          }
-        }
-        ctx->batches.fetch_add(1, std::memory_order_relaxed);
+    // Each select item evaluates over a whole batch with column refs
+    // resolved once per node per batch, then the item vectors transpose
+    // into row-major output.
+    ColumnIndexLookup col_index = [&](const Expr& ref) {
+      auto idx = AnswerColumnOf(rq, answer, ref);
+      HTQO_CHECK(idx.ok());
+      return *idx;
+    };
+    const std::size_t n_items = stmt.items.size();
+    std::vector<std::vector<Value>> item_vals(n_items);
+    for (std::size_t lo = 0; lo < answer.NumRows(); lo += kBatchRows) {
+      const std::size_t hi = std::min(lo + kBatchRows, answer.NumRows());
+      Status s = ctx->ChargeWork(hi - lo);
+      if (!s.ok()) return s;
+      for (std::size_t i = 0; i < n_items; ++i) {
+        EvalScalarBatch(stmt.items[i].expr, answer, lo, hi, col_index,
+                        &item_vals[i]);
       }
-    } else {
-      std::vector<Value> row(stmt.items.size());
-      for (std::size_t r = 0; r < answer.NumRows(); ++r) {
-        Status s = ctx->ChargeWork(1);
-        if (!s.ok()) return s;
-        auto src = answer.Row(r);
-        ColumnLookup lookup = [&](const Expr& ref) {
-          auto idx = AnswerColumnOf(rq, answer, ref);
-          HTQO_CHECK(idx.ok());
-          return src[*idx];
-        };
-        for (std::size_t i = 0; i < stmt.items.size(); ++i) {
-          row[i] = EvalScalar(stmt.items[i].expr, lookup);
+      Status st = ctx->ChargeRows(hi - lo);
+      if (!st.ok()) return st;
+      Value* base = output.AppendRaw(hi - lo);
+      for (std::size_t i = 0; i < n_items; ++i) {
+        for (std::size_t k = 0; k < hi - lo; ++k) {
+          base[k * n_items + i] = item_vals[i][k];
         }
-        Status st = ctx->ChargeRows(1);
-        if (!st.ok()) return st;
-        output.AddRow(row);
       }
+      ctx->batches.fetch_add(1, std::memory_order_relaxed);
     }
     if (stmt.distinct) {
       auto distinct = SpillableDistinct(output, ctx);
@@ -251,7 +230,8 @@ Result<Relation> EvaluateSelectOutput(const ResolvedQuery& rq,
   std::unordered_multimap<std::size_t, std::size_t> group_index;
 
   // `h` is the group-key hash of `row` (HashRowKey over group_cols); the
-  // row path computes it per row, the batch path reads it from a KeyBlock.
+  // spill path computes it per row, the in-memory path reads it from a
+  // KeyBlock.
   auto find_or_create_group = [&](std::span<const Value> row, uint64_t tag,
                                   std::size_t h) -> Group& {
     auto [lo, hi] = group_index.equal_range(h);
@@ -346,13 +326,13 @@ Result<Relation> EvaluateSelectOutput(const ResolvedQuery& rq,
                        return a.first_tag < b.first_tag;
                      });
     group_index.clear();
-  } else if (ctx->vectorized) {
+  } else {
     // Batch aggregation: group-key hashes for the whole canonicalized input
     // come from one KeyBlock (bit-identical to HashRowKey, so group
-    // discovery order — and with it output order — matches the row loop),
-    // and each aggregate argument evaluates per batch. Accumulation itself
-    // stays per row in input order: float sums must add in the exact same
-    // sequence to stay bit-identical.
+    // discovery order — and with it output order — matches the spill
+    // path's), and each aggregate argument evaluates per batch.
+    // Accumulation itself stays per row in input order: float sums must
+    // add in the exact same sequence to stay bit-identical.
     ScopedTableMemory working(
         ctx, group_cols.empty() ? 0 : group_working_bytes);
     if (!working.status().ok()) return working.status();
@@ -385,15 +365,6 @@ Result<Relation> EvaluateSelectOutput(const ResolvedQuery& rq,
         }
       }
       ctx->batches.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    ScopedTableMemory working(
-        ctx, group_cols.empty() ? 0 : group_working_bytes);
-    if (!working.status().ok()) return working.status();
-    for (std::size_t r = 0; r < sorted_answer.NumRows(); ++r) {
-      Status s = ctx->ChargeWork(1);
-      if (!s.ok()) return s;
-      accumulate(sorted_answer.Row(r), r);
     }
   }
 

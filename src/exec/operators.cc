@@ -20,7 +20,7 @@ namespace {
 constexpr std::size_t kParallelRowThreshold = 2048;
 // Rows per chunk. Chunk boundaries never affect results: per-chunk outputs
 // are concatenated in chunk order, which equals serial row order. Equals
-// kBatchRows so serial vectorized loops and pool lanes process identical
+// kBatchRows so serial batch loops and pool lanes process identical
 // batches — per-batch charges and batch counts match at any thread count.
 constexpr std::size_t kParallelGrain = 1024;
 static_assert(kParallelGrain == kBatchRows);
@@ -29,37 +29,13 @@ bool UseParallel(const ExecContext* ctx, std::size_t rows) {
   return ctx->parallel() && rows >= kParallelRowThreshold;
 }
 
-// Key hash of every row in one pass (parallel when the context allows).
-// Precomputing hashes into a flat array keeps Value::Hash out of the probe
-// loops entirely and doubles as the cheap prefilter on chain candidates.
-// Hash computation is not charged, so this changes no budget accounting.
-std::vector<std::size_t> PrecomputeKeyHashes(
-    const Relation& rel, const std::vector<std::size_t>& cols,
-    ExecContext* ctx) {
-  std::vector<std::size_t> hashes(rel.NumRows());
-  auto fill = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      hashes[r] = HashRowKey(rel.Row(r), cols);
-    }
-  };
-  if (UseParallel(ctx, rel.NumRows())) {
-    ctx->pool->ParallelFor(0, rel.NumRows(), kParallelGrain, ctx->num_threads,
-                           ctx->governor, fill);
-  } else {
-    fill(0, rel.NumRows());
-  }
-  return hashes;
-}
-
-// ---------- Vectorized kernels ----------------------------------------------
+// ---------- Batch kernels ---------------------------------------------------
 //
-// The vectorized operators (ExecContext::vectorized) extract columns into
-// typed vectors (exec/batch.h) and run tight per-batch loops, charging the
-// context once per batch. Output bytes, charge totals, and probe/bloom
-// meters are identical to the row path: hashes and equality reproduce
-// Value::Hash/Value::Compare bit for bit, batch boundaries equal the
-// parallel grain, and per-batch charges sum to the row path's per-row
-// totals (budgets trip on totals, so trip/no-trip outcomes match).
+// Operators extract columns into typed vectors (exec/batch.h) and run tight
+// per-batch loops, charging the context once per batch. Hashes and equality
+// reproduce Value::Hash/Value::Compare bit for bit, and batch boundaries
+// equal the parallel grain, so output bytes, charge totals and probe/bloom
+// meters are identical at any thread count.
 
 // `a <op> b` over int64 payloads — Value::Compare's int64/date branch.
 bool I64Cmp(CompareOp op, int64_t a, int64_t b) {
@@ -236,25 +212,13 @@ std::size_t NumBatches(std::size_t total) {
   return (total + kBatchRows - 1) / kBatchRows;
 }
 
-// Runs `batch_body` over [0, total) in kBatchRows strides — the serial twin
-// of ParallelAppend's chunking (same boundaries, same sink).
-Status SerialBatches(
-    std::size_t total, Relation* out,
-    const std::function<Status(std::size_t, std::size_t, Relation*)>&
-        batch_body) {
-  for (std::size_t lo = 0; lo < total; lo += kBatchRows) {
-    Status s = batch_body(lo, std::min(lo + kBatchRows, total), out);
-    if (!s.ok()) return s;
-  }
-  return Status::Ok();
-}
-
-// Relation::Distinct through the columnar layer: one full-row KeyBlock (the
-// hashes equal HashRowKey over all columns), dedup against kept-row indices
-// with typed equality, then gather survivors as whole-row memcpys. First
-// occurrence of every row, in input order — byte-identical to Distinct().
-// Requires arity > 0 and charges nothing, like Distinct().
-Relation VectorizedDistinct(const Relation& rel, ExecContext* ctx) {
+// Distinct kernel: indices of the first occurrence of every row of `rel`,
+// in input order. Dedups on one full-row KeyBlock (hashes equal HashRowKey
+// over all columns) with typed equality against the kept rows. Counts one
+// batch per kBatchRows input rows and charges nothing, like
+// Relation::Distinct(). Requires arity > 0. The in-memory distinct and every
+// loaded spill partition run this same loop.
+std::vector<uint32_t> DistinctKept(const Relation& rel, ExecContext* ctx) {
   std::vector<std::size_t> all_cols(rel.arity());
   std::iota(all_cols.begin(), all_cols.end(), std::size_t{0});
   const std::size_t n = rel.NumRows();
@@ -269,7 +233,8 @@ Relation VectorizedDistinct(const Relation& rel, ExecContext* ctx) {
       bool dup = false;
       for (uint32_t it = seen.First(h); it != HashChainIndex::kEnd;
            it = seen.Next(it)) {
-        if (keys.hashes[kept[it]] == h && KeyRowsEqual(keys, kept[it], keys, r)) {
+        if (keys.hashes[kept[it]] == h &&
+            KeyRowsEqual(keys, kept[it], keys, r)) {
           dup = true;
           break;
         }
@@ -281,14 +246,142 @@ Relation VectorizedDistinct(const Relation& rel, ExecContext* ctx) {
     }
     ctx->batches.fetch_add(1, std::memory_order_relaxed);
   }
-  Relation out{rel.schema()};
-  out.Reserve(kept.size());
+  return kept;
+}
+
+// Appends rows first_row + idx[k] of `rel` to `out` as whole-row memcpys.
+void AppendRowsAt(const Relation& rel, std::size_t first_row,
+                  const std::vector<uint32_t>& idx, Relation* out) {
   const std::size_t stride = rel.arity();
-  Value* base = out.AppendRaw(kept.size());
-  for (std::size_t k = 0; k < kept.size(); ++k) {
-    std::copy_n(rel.RowPtr(kept[k]), stride, base + k * stride);
+  Value* base = out->AppendRaw(idx.size());
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    std::copy_n(rel.RowPtr(first_row + idx[k]), stride, base + k * stride);
   }
-  return out;
+}
+
+// Build side of a hash join or semijoin: key columns and hashes
+// (bit-identical to HashRowKey), a Bloom prefilter and a chain index over
+// the hashes. Built once, then probed read-only from every lane, so chain
+// order — and with it every candidate count and match order — is the same
+// at any thread count.
+struct HashBuild {
+  KeyBlock key;
+  BlockedBloomFilter bloom;
+  HashChainIndex table;
+
+  HashBuild(const Relation& rel, const std::vector<std::size_t>& cols)
+      : key(BuildKeyBlock(rel, cols)),
+        bloom(rel.NumRows()),
+        table(rel.NumRows()) {
+    for (std::size_t h : key.hashes) bloom.Add(h);
+    for (std::size_t r = 0; r < rel.NumRows(); ++r) {
+      table.Insert(key.hashes[r], r);
+    }
+  }
+};
+
+// What one probe batch visited: chain candidates (the hash join's
+// per-candidate work) and probes the Bloom filter rejected.
+struct ProbeTally {
+  std::size_t candidates = 0;
+  std::size_t bloom_skipped = 0;
+};
+
+// True when both key blocks are one int64 column. The hash is then a pure
+// function of the payload, so payload equality decides exactly what the
+// hash check + KeyRowsEqual pair decides — one load and compare per
+// candidate.
+bool SingleI64Key(const KeyBlock& a, const KeyBlock& b) {
+  return a.cols.size() == 1 && a.cols[0].cls == ColumnClass::kI64 &&
+         b.cols[0].cls == ColumnClass::kI64;
+}
+
+// Match kernel of the hash join and the semijoin: probes key rows [lo, hi)
+// of `probe` against `build`, in probe order and LIFO chain order within a
+// probe. The join (kSemi = false) calls emit(build row, probe row) for every
+// match and tallies every chain candidate it visits — its per-candidate
+// work. The semijoin (kSemi = true) stops at a probe row's first match and
+// tallies no candidates: its work charge is the per-input-row charge.
+template <bool kSemi, typename Emit>
+ProbeTally ProbeMatches(const HashBuild& build, const KeyBlock& probe,
+                        std::size_t lo, std::size_t hi, const Emit& emit) {
+  ProbeTally tally;
+  const bool key_i64 = SingleI64Key(build.key, probe);
+  const int64_t* bkey_i64 = key_i64 ? build.key.cols[0].i64.data() : nullptr;
+  const int64_t* pkey_i64 = key_i64 ? probe.cols[0].i64.data() : nullptr;
+  for (std::size_t p = lo; p < hi; ++p) {
+    const std::size_t h = probe.hashes[p];
+    if (!build.bloom.MayContain(h)) {
+      ++tally.bloom_skipped;
+      continue;
+    }
+    if (key_i64) {
+      const int64_t key = pkey_i64[p];
+      for (uint32_t it = build.table.First(h); it != HashChainIndex::kEnd;
+           it = build.table.Next(it)) {
+        if (!kSemi) ++tally.candidates;
+        if (bkey_i64[it] == key) {
+          emit(it, static_cast<uint32_t>(p));
+          if (kSemi) break;
+        }
+      }
+      continue;
+    }
+    for (uint32_t it = build.table.First(h); it != HashChainIndex::kEnd;
+         it = build.table.Next(it)) {
+      if (!kSemi) ++tally.candidates;
+      if (build.key.hashes[it] == h && KeyRowsEqual(build.key, it, probe, p)) {
+        emit(it, static_cast<uint32_t>(p));
+        if (kSemi) break;
+      }
+    }
+  }
+  return tally;
+}
+
+// Meters one probe batch of `probes` rows: one batch, the probes and their
+// Bloom rejections, one work unit per tallied candidate and one row per
+// emitted match.
+Status MeterProbeBatch(ExecContext* ctx, std::size_t probes,
+                       const ProbeTally& tally, std::size_t emitted) {
+  ctx->batches.fetch_add(1, std::memory_order_relaxed);
+  ctx->hash_probes.fetch_add(probes, std::memory_order_relaxed);
+  ctx->bloom_skips.fetch_add(tally.bloom_skipped, std::memory_order_relaxed);
+  if (tally.candidates > 0) {
+    Status st = ctx->ChargeWork(tally.candidates);
+    if (!st.ok()) return st;
+  }
+  if (emitted == 0) return Status::Ok();
+  return ctx->ChargeRows(emitted);
+}
+
+// Output layout of a natural join: the left row, then the right row's
+// right-only columns.
+struct JoinShape {
+  bool build_left;
+  std::size_t left_arity;
+  const std::vector<std::size_t>* right_only;
+};
+
+// Writes one joined row per match at `base`. `pdata` points at the probe
+// row of key row 0 in the probe KeyBlock the matches index.
+void GatherJoinRows(const JoinShape& shape, const Relation& build,
+                    const Value* pdata, std::size_t parity,
+                    const std::vector<std::pair<uint32_t, uint32_t>>& matches,
+                    Value* base) {
+  const std::size_t stride = shape.left_arity + shape.right_only->size();
+  const std::size_t barity = build.arity();
+  const Value* bdata = build.RowPtr(0);
+  for (std::size_t k = 0; k < matches.size(); ++k) {
+    const Value* brow = bdata + matches[k].first * barity;
+    const Value* prow = pdata + matches[k].second * parity;
+    const Value* lrow = shape.build_left ? brow : prow;
+    const Value* rrow = shape.build_left ? prow : brow;
+    Value* dst = base + k * stride;
+    std::copy_n(lrow, shape.left_arity, dst);
+    std::size_t i = shape.left_arity;
+    for (std::size_t rc : *shape.right_only) dst[i++] = rrow[rc];
+  }
 }
 
 // Runs range_body(lo, hi, sink) over [0, total) on the context's pool and
@@ -329,6 +422,23 @@ Status ParallelAppend(
   return Status::Ok();
 }
 
+// Runs `batch_body` over [0, total) in kBatchRows strides, appending to
+// `out`: on the pool through ParallelAppend when the context allows, else
+// serially on this thread. Chunk boundaries are the same either way.
+Status RunBatches(
+    ExecContext* ctx, std::size_t total, Relation* out, uint64_t parent_span,
+    const std::function<Status(std::size_t, std::size_t, Relation*)>&
+        batch_body) {
+  if (UseParallel(ctx, total)) {
+    return ParallelAppend(ctx, total, out, parent_span, batch_body);
+  }
+  for (std::size_t lo = 0; lo < total; lo += kBatchRows) {
+    Status s = batch_body(lo, std::min(lo + kBatchRows, total), out);
+    if (!s.ok()) return s;
+  }
+  return Status::Ok();
+}
+
 // Shared column names of two schemas, with their indices on both sides.
 void SharedColumns(const Schema& left, const Schema& right,
                    std::vector<std::size_t>* lcols,
@@ -360,11 +470,11 @@ Schema JoinedSchema(const Schema& left, const Schema& right,
 // Output rows are collected with a 64-bit tag — the probe row's original
 // index — and merged back in tag order at the end, which reproduces the
 // serial in-memory emission order byte for byte: key-equal rows always land
-// in the same partition with their relative order preserved, and the
-// per-partition kernels mirror the in-memory loops (LIFO chain order and
-// all). Partition pairs are processed serially (the per-operator spill path
-// is deterministic at any thread count); parallelism across tree-wave nodes
-// is unaffected — each node's operator spills independently against the
+// in the same partition with their relative order preserved, and each
+// loaded partition runs the in-memory operator's own kernel. Partition
+// pairs are processed serially (the per-operator spill path is
+// deterministic at any thread count); parallelism across tree-wave nodes is
+// unaffected — each node's operator spills independently against the
 // shared manager.
 
 // Below this many build rows a partition is always processed in memory:
@@ -421,11 +531,14 @@ struct TaggedRows {
 };
 
 // Hash-partitions `rel` on `cols` into the manager's fanout, writing each
-// row with its tag from `tags` (parallel to rows). One work unit per row
-// covers the encode+write.
+// row with its tag from `tags` (parallel to rows). Key hashes are computed
+// per batch through the columnar extractor (one batch of key columns
+// resident at a time — this path runs under memory pressure), and one work
+// unit per row, charged per batch, covers the encode+write.
 Result<std::vector<std::unique_ptr<SpillFile>>> PartitionToSpill(
     const Relation& rel, const std::vector<std::size_t>& cols,
     const std::vector<uint64_t>& tags, std::size_t depth, ExecContext* ctx) {
+  HTQO_CHECK(!cols.empty());
   const std::size_t fanout = ctx->spill->options().fanout;
   std::vector<std::unique_ptr<SpillFile>> parts;
   parts.reserve(fanout);
@@ -434,33 +547,17 @@ Result<std::vector<std::unique_ptr<SpillFile>>> PartitionToSpill(
     if (!file.ok()) return file.status();
     parts.push_back(std::move(*file));
   }
-  if (ctx->vectorized && rel.arity() > 0) {
-    // Batch mode: key hashes computed per batch through the columnar
-    // extractor (one batch of key columns resident at a time — this path
-    // runs under memory pressure), whole batches serialized through the
-    // tagged codec, one work charge per batch. Same bytes, same hash per
-    // row, same work total as the per-row loop below.
-    for (std::size_t lo = 0; lo < rel.NumRows(); lo += kBatchRows) {
-      const std::size_t hi = std::min(lo + kBatchRows, rel.NumRows());
-      Status w = ctx->ChargeWork(hi - lo);
-      if (!w.ok()) return w;
-      KeyBlock keys = BuildKeyBlock(rel, cols, lo, hi - lo);
-      for (std::size_t r = lo; r < hi; ++r) {
-        std::size_t p = SpillPartitionOf(keys.hashes[r - lo], depth, fanout);
-        Status s = parts[p]->Append(tags[r], rel.Row(r));
-        if (!s.ok()) return s;
-      }
-      ctx->batches.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    for (std::size_t r = 0; r < rel.NumRows(); ++r) {
-      Status w = ctx->ChargeWork(1);
-      if (!w.ok()) return w;
-      auto row = rel.Row(r);
-      std::size_t p = SpillPartitionOf(HashRowKey(row, cols), depth, fanout);
-      Status s = parts[p]->Append(tags[r], row);
+  for (std::size_t lo = 0; lo < rel.NumRows(); lo += kBatchRows) {
+    const std::size_t hi = std::min(lo + kBatchRows, rel.NumRows());
+    Status w = ctx->ChargeWork(hi - lo);
+    if (!w.ok()) return w;
+    KeyBlock keys = BuildKeyBlock(rel, cols, lo, hi - lo);
+    for (std::size_t r = lo; r < hi; ++r) {
+      std::size_t p = SpillPartitionOf(keys.hashes[r - lo], depth, fanout);
+      Status s = parts[p]->Append(tags[r], rel.Row(r));
       if (!s.ok()) return s;
     }
+    ctx->batches.fetch_add(1, std::memory_order_relaxed);
   }
   for (auto& part : parts) {
     Status s = part->Finish();
@@ -475,73 +572,61 @@ std::vector<uint64_t> IdentityTags(std::size_t n) {
   return tags;
 }
 
-// Reorders `collected` into `out` by ascending tag, preserving the per-tag
-// emission order — the exact serial output: every tag's rows come from a
-// single partition, already in kernel order.
-Status MergeByTag(TaggedRows&& collected, Relation* out, ExecContext* ctx) {
-  return internal::MergeRowsByTag(collected.rows, collected.tags, out, ctx);
-}
+// Runs on one in-memory partition pair: build rows, probe rows and the
+// probe rows' tags.
+using PairKernel = std::function<Status(
+    const Relation&, const Relation&, const std::vector<uint64_t>&)>;
 
-// Serial tagged probe kernel for one partition pair; mirrors the in-memory
-// probe loop exactly (per-candidate work charge, per-emit row charge, LIFO
-// chain order) so the merged spill output is byte-identical to it.
-Status TaggedHashJoinKernel(const Relation& build, const Relation& probe,
-                            const std::vector<uint64_t>& probe_tags,
-                            const std::vector<std::size_t>& bcols,
-                            const std::vector<std::size_t>& pcols,
-                            const std::vector<std::size_t>& right_only,
-                            bool build_left, std::size_t left_arity,
-                            ExecContext* ctx, TaggedRows* out) {
-  Status s = ctx->ChargeWork(build.NumRows() + probe.NumRows());
-  if (!s.ok()) return s;
-  ctx->hash_probes.fetch_add(probe.NumRows(), std::memory_order_relaxed);
-  std::vector<std::size_t> build_hash(build.NumRows());
-  for (std::size_t r = 0; r < build.NumRows(); ++r) {
-    build_hash[r] = HashRowKey(build.Row(r), bcols);
-  }
-  BlockedBloomFilter bloom(build.NumRows());
-  for (std::size_t h : build_hash) bloom.Add(h);
-  HashChainIndex table(build.NumRows());
-  for (std::size_t r = 0; r < build.NumRows(); ++r) {
-    table.Insert(build_hash[r], r);
-  }
-  std::vector<Value> row(out->rows.arity());
-  std::size_t bloom_skipped = 0;
-  for (std::size_t p = 0; p < probe.NumRows(); ++p) {
-    auto probe_row = probe.Row(p);
-    std::size_t h = HashRowKey(probe_row, pcols);
-    if (!bloom.MayContain(h)) {
-      ++bloom_skipped;
-      continue;
+// Recursive Grace driver of the hash join and the semijoin: partitions
+// build and probe on their key columns, then drains partition pairs
+// serially, repartitioning a pair while it still exceeds the soft threshold
+// and the depth cap allows. At the cap `kernel` runs in memory regardless
+// (correctness over the threshold; all-equal keys cannot be split).
+Status GracePairs(const Relation& build, const Relation& probe,
+                  const std::vector<uint64_t>& probe_tags,
+                  const std::vector<std::size_t>& bcols,
+                  const std::vector<std::size_t>& pcols, std::size_t depth,
+                  ExecContext* ctx, const PairKernel& kernel) {
+  ctx->spill->NoteRecursionDepth(depth + 1);
+  auto bparts = PartitionToSpill(build, bcols, IdentityTags(build.NumRows()),
+                                 depth, ctx);
+  if (!bparts.ok()) return bparts.status();
+  auto pparts = PartitionToSpill(probe, pcols, probe_tags, depth, ctx);
+  if (!pparts.ok()) return pparts.status();
+  const std::size_t max_depth = ctx->spill->options().max_recursion_depth;
+  for (std::size_t i = 0; i < bparts->size(); ++i) {
+    // The spill path is serial per operator, so the operator span (and,
+    // when recursing, the outer partition span) is open on this thread.
+    ScopedSpan part_span(ctx->tracer, "spill.partition");
+    part_span.Attr("depth", depth);
+    part_span.Attr("index", i);
+    Relation bpart{build.schema()};
+    Relation ppart{probe.schema()};
+    std::vector<uint64_t> btags, ptags;
+    Status rs = (*bparts)[i]->ReadBack(&bpart, &btags);
+    if (!rs.ok()) return rs;
+    rs = (*pparts)[i]->ReadBack(&ppart, &ptags);
+    if (!rs.ok()) return rs;
+    (*bparts)[i].reset();  // unlink both files before the pair runs
+    (*pparts)[i].reset();
+    part_span.Attr("rows_build", bpart.NumRows());
+    part_span.Attr("rows_probe", ppart.NumRows());
+    ScopedTableMemory loaded(ctx, LoadedPairBytes(bpart, ppart));
+    if (!loaded.status().ok()) return loaded.status();
+    if (depth + 1 < max_depth && bpart.NumRows() > kMinSpillRows &&
+        ctx->ShouldSpill(JoinWorkingBytes(bpart, ppart))) {
+      rs = GracePairs(bpart, ppart, ptags, bcols, pcols, depth + 1, ctx,
+                      kernel);
+    } else {
+      rs = kernel(bpart, ppart, ptags);
     }
-    for (uint32_t it = table.First(h); it != HashChainIndex::kEnd;
-         it = table.Next(it)) {
-      Status st = ctx->ChargeWork(1);
-      if (!st.ok()) return st;
-      if (build_hash[it] != h ||
-          !RowKeysEqual(build.Row(it), bcols, probe_row, pcols)) {
-        continue;
-      }
-      auto build_row = build.Row(it);
-      auto lrow = build_left ? build_row : probe_row;
-      auto rrow = build_left ? probe_row : build_row;
-      std::size_t i = 0;
-      for (; i < left_arity; ++i) row[i] = lrow[i];
-      for (std::size_t r : right_only) row[i++] = rrow[r];
-      st = ctx->ChargeRows(1);
-      if (!st.ok()) return st;
-      out->rows.AddRow(row);
-      out->tags.push_back(probe_tags[p]);
-    }
+    if (!rs.ok()) return rs;
   }
-  ctx->bloom_skips.fetch_add(bloom_skipped, std::memory_order_relaxed);
   return Status::Ok();
 }
 
-// Recursive Grace hash join: partitions build/probe, drains partition pairs
-// serially, repartitioning a pair while it still exceeds the soft threshold
-// and the depth cap allows. At the cap the kernel runs in memory regardless
-// (correctness over the threshold; all-equal keys cannot be split).
+// Grace hash join: each loaded partition pair runs the in-memory join's
+// match kernel batch by batch, and every match carries its probe row's tag.
 Result<Relation> GraceHashJoin(const Relation& left, const Relation& right,
                                bool build_left,
                                const std::vector<std::size_t>& lcols,
@@ -549,159 +634,78 @@ Result<Relation> GraceHashJoin(const Relation& left, const Relation& right,
                                const std::vector<std::size_t>& right_only,
                                Schema out_schema, ExecContext* ctx) {
   ctx->spill->NoteSpillEvent();
-  const Relation& build = build_left ? left : right;
-  const Relation& probe = build_left ? right : left;
+  const JoinShape shape{build_left, left.arity(), &right_only};
   const std::vector<std::size_t>& bcols = build_left ? lcols : rcols;
   const std::vector<std::size_t>& pcols = build_left ? rcols : lcols;
-  const std::size_t fanout = ctx->spill->options().fanout;
-  const std::size_t max_depth = ctx->spill->options().max_recursion_depth;
-
   TaggedRows collected{Relation{out_schema}, {}};
-  std::function<Status(const Relation&, const Relation&,
-                       const std::vector<uint64_t>&, std::size_t)>
-      recurse = [&](const Relation& b, const Relation& p,
-                    const std::vector<uint64_t>& ptags,
-                    std::size_t depth) -> Status {
-    ctx->spill->NoteRecursionDepth(depth + 1);
-    auto bparts = PartitionToSpill(b, bcols, IdentityTags(b.NumRows()),
-                                   depth, ctx);
-    if (!bparts.ok()) return bparts.status();
-    auto pparts = PartitionToSpill(p, pcols, ptags, depth, ctx);
-    if (!pparts.ok()) return pparts.status();
-    for (std::size_t i = 0; i < fanout; ++i) {
-      // The spill path is serial per operator, so the operator span (and,
-      // when recursing, the outer partition span) is open on this thread.
-      ScopedSpan part_span(ctx->tracer, "spill.partition");
-      part_span.Attr("depth", depth);
-      part_span.Attr("index", i);
-      Relation bpart{b.schema()};
-      Relation ppart{p.schema()};
-      std::vector<uint64_t> btags, ptags_i;
-      Status rs = (*bparts)[i]->ReadBack(&bpart, &btags);
-      if (!rs.ok()) return rs;
-      rs = (*pparts)[i]->ReadBack(&ppart, &ptags_i);
-      if (!rs.ok()) return rs;
-      (*bparts)[i].reset();  // unlink both files before the pair runs
-      (*pparts)[i].reset();
-      part_span.Attr("rows_build", bpart.NumRows());
-      part_span.Attr("rows_probe", ppart.NumRows());
-      ScopedTableMemory loaded(ctx, LoadedPairBytes(bpart, ppart));
-      if (!loaded.status().ok()) return loaded.status();
-      if (depth + 1 < max_depth && bpart.NumRows() > kMinSpillRows &&
-          ctx->ShouldSpill(JoinWorkingBytes(bpart, ppart))) {
-        rs = recurse(bpart, ppart, ptags_i, depth + 1);
-      } else {
-        rs = TaggedHashJoinKernel(bpart, ppart, ptags_i, bcols, pcols,
-                                  right_only, build_left, left.arity(), ctx,
-                                  &collected);
+  auto kernel = [&](const Relation& b, const Relation& p,
+                    const std::vector<uint64_t>& ptags) -> Status {
+    Status s = ctx->ChargeWork(b.NumRows() + p.NumRows());
+    if (!s.ok()) return s;
+    HashBuild table(b, bcols);
+    std::vector<std::pair<uint32_t, uint32_t>> matches;
+    for (std::size_t lo = 0; lo < p.NumRows(); lo += kBatchRows) {
+      const std::size_t n = std::min(kBatchRows, p.NumRows() - lo);
+      KeyBlock pkey = BuildKeyBlock(p, pcols, lo, n);
+      matches.clear();
+      const ProbeTally tally = ProbeMatches<false>(
+          table, pkey, 0, n, [&](uint32_t brow, uint32_t prow) {
+            matches.emplace_back(brow, prow);
+          });
+      s = MeterProbeBatch(ctx, n, tally, matches.size());
+      if (!s.ok()) return s;
+      if (matches.empty()) continue;
+      GatherJoinRows(shape, b, p.RowPtr(lo), p.arity(), matches,
+                     collected.rows.AppendRaw(matches.size()));
+      for (const auto& m : matches) {
+        collected.tags.push_back(ptags[lo + m.second]);
       }
-      if (!rs.ok()) return rs;
     }
     return Status::Ok();
   };
-  Status s = recurse(build, probe, IdentityTags(probe.NumRows()), 0);
+  Status s = GracePairs(build_left ? left : right, build_left ? right : left,
+                        IdentityTags((build_left ? right : left).NumRows()),
+                        bcols, pcols, 0, ctx, kernel);
   if (!s.ok()) return s;
   Relation out{std::move(out_schema)};
-  s = MergeByTag(std::move(collected), &out, ctx);
+  s = internal::MergeRowsByTag(collected.rows, collected.tags, &out, ctx);
   if (!s.ok()) return s;
   return out;
 }
 
-// Serial tagged semijoin kernel; mirrors the in-memory loop (first match
-// wins, one row charge per emitted left row).
-Status TaggedSemiJoinKernel(const Relation& lpart, const Relation& rpart,
-                            const std::vector<uint64_t>& ltags,
-                            const std::vector<std::size_t>& lcols,
-                            const std::vector<std::size_t>& rcols,
-                            ExecContext* ctx, TaggedRows* out) {
-  Status s = ctx->ChargeWork(lpart.NumRows() + rpart.NumRows());
-  if (!s.ok()) return s;
-  ctx->hash_probes.fetch_add(lpart.NumRows(), std::memory_order_relaxed);
-  std::vector<std::size_t> right_hash(rpart.NumRows());
-  for (std::size_t r = 0; r < rpart.NumRows(); ++r) {
-    right_hash[r] = HashRowKey(rpart.Row(r), rcols);
-  }
-  BlockedBloomFilter bloom(rpart.NumRows());
-  for (std::size_t h : right_hash) bloom.Add(h);
-  HashChainIndex table(rpart.NumRows());
-  for (std::size_t r = 0; r < rpart.NumRows(); ++r) {
-    table.Insert(right_hash[r], r);
-  }
-  std::size_t bloom_skipped = 0;
-  for (std::size_t l = 0; l < lpart.NumRows(); ++l) {
-    auto lrow = lpart.Row(l);
-    std::size_t h = HashRowKey(lrow, lcols);
-    if (!bloom.MayContain(h)) {
-      ++bloom_skipped;
-      continue;
-    }
-    for (uint32_t it = table.First(h); it != HashChainIndex::kEnd;
-         it = table.Next(it)) {
-      if (right_hash[it] == h &&
-          RowKeysEqual(rpart.Row(it), rcols, lrow, lcols)) {
-        Status st = ctx->ChargeRows(1);
-        if (!st.ok()) return st;
-        out->rows.AddRow(lrow);
-        out->tags.push_back(ltags[l]);
-        break;
-      }
-    }
-  }
-  ctx->bloom_skips.fetch_add(bloom_skipped, std::memory_order_relaxed);
-  return Status::Ok();
-}
-
+// Grace semijoin: `right` is the build side; each loaded pair runs the
+// in-memory semijoin's match kernel batch by batch.
 Result<Relation> GraceSemiJoin(const Relation& left, const Relation& right,
                                const std::vector<std::size_t>& lcols,
                                const std::vector<std::size_t>& rcols,
                                ExecContext* ctx) {
   ctx->spill->NoteSpillEvent();
-  const std::size_t fanout = ctx->spill->options().fanout;
-  const std::size_t max_depth = ctx->spill->options().max_recursion_depth;
   TaggedRows collected{Relation{left.schema()}, {}};
-  std::function<Status(const Relation&, const Relation&,
-                       const std::vector<uint64_t>&, std::size_t)>
-      recurse = [&](const Relation& l, const Relation& r,
-                    const std::vector<uint64_t>& ltags,
-                    std::size_t depth) -> Status {
-    ctx->spill->NoteRecursionDepth(depth + 1);
-    auto lparts = PartitionToSpill(l, lcols, ltags, depth, ctx);
-    if (!lparts.ok()) return lparts.status();
-    auto rparts = PartitionToSpill(r, rcols, IdentityTags(r.NumRows()),
-                                   depth, ctx);
-    if (!rparts.ok()) return rparts.status();
-    for (std::size_t i = 0; i < fanout; ++i) {
-      ScopedSpan part_span(ctx->tracer, "spill.partition");
-      part_span.Attr("depth", depth);
-      part_span.Attr("index", i);
-      Relation lpart{l.schema()};
-      Relation rpart{r.schema()};
-      std::vector<uint64_t> ltags_i, rtags;
-      Status rs = (*lparts)[i]->ReadBack(&lpart, &ltags_i);
-      if (!rs.ok()) return rs;
-      rs = (*rparts)[i]->ReadBack(&rpart, &rtags);
-      if (!rs.ok()) return rs;
-      (*lparts)[i].reset();
-      (*rparts)[i].reset();
-      part_span.Attr("rows_build", rpart.NumRows());
-      part_span.Attr("rows_probe", lpart.NumRows());
-      ScopedTableMemory loaded(ctx, LoadedPairBytes(rpart, lpart));
-      if (!loaded.status().ok()) return loaded.status();
-      if (depth + 1 < max_depth && rpart.NumRows() > kMinSpillRows &&
-          ctx->ShouldSpill(SemiJoinWorkingBytes(rpart, lpart))) {
-        rs = recurse(lpart, rpart, ltags_i, depth + 1);
-      } else {
-        rs = TaggedSemiJoinKernel(lpart, rpart, ltags_i, lcols, rcols, ctx,
-                                  &collected);
-      }
-      if (!rs.ok()) return rs;
+  auto kernel = [&](const Relation& r, const Relation& l,
+                    const std::vector<uint64_t>& ltags) -> Status {
+    Status s = ctx->ChargeWork(l.NumRows() + r.NumRows());
+    if (!s.ok()) return s;
+    HashBuild table(r, rcols);
+    std::vector<uint32_t> matched;
+    for (std::size_t lo = 0; lo < l.NumRows(); lo += kBatchRows) {
+      const std::size_t n = std::min(kBatchRows, l.NumRows() - lo);
+      KeyBlock lkey = BuildKeyBlock(l, lcols, lo, n);
+      matched.clear();
+      const ProbeTally tally = ProbeMatches<true>(
+          table, lkey, 0, n,
+          [&](uint32_t, uint32_t lrow) { matched.push_back(lrow); });
+      s = MeterProbeBatch(ctx, n, tally, matched.size());
+      if (!s.ok()) return s;
+      AppendRowsAt(l, lo, matched, &collected.rows);
+      for (uint32_t m : matched) collected.tags.push_back(ltags[lo + m]);
     }
     return Status::Ok();
   };
-  Status s = recurse(left, right, IdentityTags(left.NumRows()), 0);
+  Status s = GracePairs(right, left, IdentityTags(left.NumRows()), rcols,
+                        lcols, 0, ctx, kernel);
   if (!s.ok()) return s;
   Relation out{left.schema()};
-  s = MergeByTag(std::move(collected), &out, ctx);
+  s = internal::MergeRowsByTag(collected.rows, collected.tags, &out, ctx);
   if (!s.ok()) return s;
   return out;
 }
@@ -720,24 +724,12 @@ std::vector<std::size_t> IndicesOf(const Relation& rel,
   return out;
 }
 
-Relation ProjectByName(const Relation& rel,
-                       const std::vector<std::string>& columns,
-                       bool distinct) {
-  Relation projected = rel.Project(IndicesOf(rel, columns));
-  return distinct ? projected.Distinct() : projected;
-}
-
 Result<Relation> ProjectByName(const Relation& rel,
                                const std::vector<std::string>& columns,
-                               bool distinct, ExecContext* ctx) {
+                               ExecContext* ctx) {
   ScopedSpan op_span(ctx->tracer, "op.project", ctx->SpanParent());
   op_span.Attr("rows_in", rel.NumRows());
-  Relation projected = rel.Project(IndicesOf(rel, columns));
-  if (!distinct) {
-    op_span.Attr("rows_out", projected.NumRows());
-    return projected;
-  }
-  auto out = SpillableDistinct(projected, ctx);
+  auto out = SpillableDistinct(rel.Project(IndicesOf(rel, columns)), ctx);
   if (out.ok()) op_span.Attr("rows_out", out->NumRows());
   return out;
 }
@@ -746,24 +738,25 @@ Result<Relation> SpillableDistinct(const Relation& rel, ExecContext* ctx) {
   ScopedSpan op_span(ctx->tracer, "op.distinct", ctx->SpanParent());
   op_span.Attr("rows_in", rel.NumRows());
   if (rel.arity() == 0 || rel.NumRows() == 0) return rel.Distinct();
-  std::vector<std::size_t> all_cols(rel.arity());
-  std::iota(all_cols.begin(), all_cols.end(), std::size_t{0});
   const std::size_t working_bytes = DistinctWorkingBytes(rel);
   if (!ctx->ShouldSpill(working_bytes)) {
     ScopedTableMemory working(ctx, working_bytes);
     if (!working.status().ok()) return working.status();
-    Relation distinct =
-        ctx->vectorized ? VectorizedDistinct(rel, ctx) : rel.Distinct();
+    Relation distinct{rel.schema()};
+    AppendRowsAt(rel, 0, DistinctKept(rel, ctx), &distinct);
     op_span.Attr("rows_out", distinct.NumRows());
-    if (ctx->vectorized) op_span.Attr("batches", NumBatches(rel.NumRows()));
+    op_span.Attr("batches", NumBatches(rel.NumRows()));
     return distinct;
   }
 
   // Grace path: partition on the full-row hash (value-equal rows always
-  // share a partition), dedup each partition preserving order, keep each
-  // survivor's original row index as its tag. Merging by tag yields exactly
-  // Distinct()'s output: the first occurrence of every row, in input order.
+  // share a partition), dedup each partition with the in-memory kernel,
+  // keep each survivor's original row index as its tag. Merging by tag
+  // yields exactly Distinct()'s output: the first occurrence of every row,
+  // in input order.
   ctx->spill->NoteSpillEvent();
+  std::vector<std::size_t> all_cols(rel.arity());
+  std::iota(all_cols.begin(), all_cols.end(), std::size_t{0});
   const std::size_t fanout = ctx->spill->options().fanout;
   const std::size_t max_depth = ctx->spill->options().max_recursion_depth;
   TaggedRows collected{Relation{rel.schema()}, {}};
@@ -793,39 +786,16 @@ Result<Relation> SpillableDistinct(const Relation& rel, ExecContext* ctx) {
         if (!rs.ok()) return rs;
         continue;
       }
-      // In-partition dedup, first occurrence wins — Distinct()'s algorithm
-      // with the tag carried along.
-      HashChainIndex seen(part.NumRows());
-      std::vector<std::size_t> kept_hash;
-      kept_hash.reserve(part.NumRows());
-      std::size_t kept_base = collected.rows.NumRows();
-      for (std::size_t r = 0; r < part.NumRows(); ++r) {
-        auto row = part.Row(r);
-        std::size_t h = HashRowKey(row, all_cols);
-        bool dup = false;
-        for (uint32_t it = seen.First(h); it != HashChainIndex::kEnd;
-             it = seen.Next(it)) {
-          if (kept_hash[it] == h &&
-              RowKeysEqual(collected.rows.Row(kept_base + it), all_cols, row,
-                           all_cols)) {
-            dup = true;
-            break;
-          }
-        }
-        if (!dup) {
-          seen.Insert(h, kept_hash.size());
-          kept_hash.push_back(h);
-          collected.rows.AddRow(row);
-          collected.tags.push_back(part_tags[r]);
-        }
-      }
+      const std::vector<uint32_t> kept = DistinctKept(part, ctx);
+      AppendRowsAt(part, 0, kept, &collected.rows);
+      for (uint32_t k : kept) collected.tags.push_back(part_tags[k]);
     }
     return Status::Ok();
   };
   Status s = recurse(rel, IdentityTags(rel.NumRows()), 0);
   if (!s.ok()) return s;
   Relation out{rel.schema()};
-  s = MergeByTag(std::move(collected), &out, ctx);
+  s = internal::MergeRowsByTag(collected.rows, collected.tags, &out, ctx);
   if (!s.ok()) return s;
   op_span.Attr("rows_out", out.NumRows());
   op_span.Attr("spilled", 1);
@@ -869,167 +839,104 @@ Result<Relation> ScanAtom(const ResolvedQuery& rq, std::size_t atom_index,
   Status alloc = out.TryReserve(rel.NumRows());
   if (!alloc.ok()) return alloc;
 
-  if (ctx->vectorized) {
-    // Vectorized scan: per batch, extract each referenced base column once,
-    // narrow a selection vector through filters / local comparisons /
-    // intra-atom equalities with typed loops, then gather the survivors
-    // column-wise. One work charge per batch (the row path charges one unit
-    // per input row), one row charge per batch's emissions.
-    std::vector<std::size_t> referenced;  // base columns this scan touches
-    std::vector<std::size_t> slot(rel.arity(), static_cast<std::size_t>(-1));
-    auto reference = [&](std::size_t col) {
-      if (slot[col] == static_cast<std::size_t>(-1)) {
-        slot[col] = referenced.size();
-        referenced.push_back(col);
-      }
-    };
-    for (const AtomFilter& f : atom.filters) reference(f.column);
-    for (const LocalComparison& c : atom.local_comparisons) {
-      reference(c.lcolumn);
-      reference(c.rcolumn);
+  // Per batch, extract each referenced base column once, narrow a selection
+  // vector through filters / local comparisons / intra-atom equalities with
+  // typed loops, then gather the survivors column-wise. One work charge per
+  // batch (one unit per input row), one row charge per batch's emissions.
+  std::vector<std::size_t> referenced;  // base columns this scan touches
+  std::vector<std::size_t> slot(rel.arity(), static_cast<std::size_t>(-1));
+  auto reference = [&](std::size_t col) {
+    if (slot[col] == static_cast<std::size_t>(-1)) {
+      slot[col] = referenced.size();
+      referenced.push_back(col);
     }
-    for (const AtomBinding& b : atom.bindings) reference(b.column);
-    for (std::size_t c : source_col) {
-      if (c != kTid) reference(c);
-    }
-    // Intra-atom equality pairs, deduplicated: the row path's nested
-    // binding loops test every ordered pair of same-var bindings, which
-    // reduces to "all bindings of a var agree" — the unordered pairs below.
-    std::vector<std::pair<std::size_t, std::size_t>> equal_pairs;
-    for (std::size_t i = 0; i < atom.bindings.size(); ++i) {
-      for (std::size_t j = i + 1; j < atom.bindings.size(); ++j) {
-        if (atom.bindings[i].var == atom.bindings[j].var &&
-            atom.bindings[i].column != atom.bindings[j].column) {
-          equal_pairs.emplace_back(atom.bindings[i].column,
-                                   atom.bindings[j].column);
-        }
+  };
+  for (const AtomFilter& f : atom.filters) reference(f.column);
+  for (const LocalComparison& c : atom.local_comparisons) {
+    reference(c.lcolumn);
+    reference(c.rcolumn);
+  }
+  for (const AtomBinding& b : atom.bindings) reference(b.column);
+  for (std::size_t c : source_col) {
+    if (c != kTid) reference(c);
+  }
+  // Intra-atom variable equality: every binding of a var must agree, which
+  // the unordered pairs of same-var bindings below test.
+  std::vector<std::pair<std::size_t, std::size_t>> equal_pairs;
+  for (std::size_t i = 0; i < atom.bindings.size(); ++i) {
+    for (std::size_t j = i + 1; j < atom.bindings.size(); ++j) {
+      if (atom.bindings[i].var == atom.bindings[j].var &&
+          atom.bindings[i].column != atom.bindings[j].column) {
+        equal_pairs.emplace_back(atom.bindings[i].column,
+                                 atom.bindings[j].column);
       }
     }
-
-    const bool parallel = UseParallel(ctx, rel.NumRows());
-    auto scan_batch = [&](std::size_t lo, std::size_t hi,
-                          Relation* sink) -> Status {
-      Status work = ctx->ChargeWork(hi - lo);
-      if (!work.ok()) return work;
-      const std::size_t n = hi - lo;
-      std::vector<ColumnVector> cols_v(referenced.size());
-      for (std::size_t i = 0; i < referenced.size(); ++i) {
-        cols_v[i] = ExtractColumn(rel, referenced[i], lo, n);
-      }
-      Selection sel(n);
-      std::iota(sel.begin(), sel.end(), uint32_t{0});
-      for (const AtomFilter& f : atom.filters) {
-        if (sel.empty()) break;
-        FilterSelection(f, cols_v[slot[f.column]], &sel);
-      }
-      for (const LocalComparison& c : atom.local_comparisons) {
-        if (sel.empty()) break;
-        CompareSelection(c.op, cols_v[slot[c.lcolumn]],
-                         cols_v[slot[c.rcolumn]], &sel);
-      }
-      for (const auto& [ca, cb] : equal_pairs) {
-        if (sel.empty()) break;
-        EqualitySelection(cols_v[slot[ca]], cols_v[slot[cb]], &sel);
-      }
-      ctx->batches.fetch_add(1, std::memory_order_relaxed);
-      if (sel.empty()) return Status::Ok();
-      Status s = ctx->ChargeRows(sel.size());
-      if (!s.ok()) return s;
-      const std::size_t stride = source_col.size();
-      if (!parallel) {
-        // Serial sinks span every batch: extrapolate survivor density over
-        // [0, hi) to the whole relation and reserve once (capped by the
-        // input size — a scan never emits more rows than it reads) instead
-        // of riding the doubling ladder. Parallel chunk sinks get one
-        // exact-size append each.
-        const std::size_t need = sink->NumRows() + sel.size();
-        if (need > sink->CapacityRows()) {
-          const auto projected = static_cast<std::size_t>(
-              static_cast<double>(need) * static_cast<double>(rel.NumRows()) /
-              static_cast<double>(hi));
-          sink->Reserve(std::min(rel.NumRows(),
-                                 std::max(need, projected + projected / 8)));
-        }
-      }
-      Value* base = sink->AppendRaw(sel.size());
-      for (std::size_t i = 0; i < stride; ++i) {
-        if (source_col[i] == kTid) {
-          for (std::size_t k = 0; k < sel.size(); ++k) {
-            base[k * stride + i] =
-                Value::Int64(static_cast<int64_t>(lo + sel[k]));
-          }
-        } else {
-          GatherColumn(cols_v[slot[source_col[i]]], sel, base, stride, i);
-        }
-      }
-      return Status::Ok();
-    };
-    Status scan = UseParallel(ctx, rel.NumRows())
-                      ? ParallelAppend(ctx, rel.NumRows(), &out, op_span.id(),
-                                       scan_batch)
-                      : SerialBatches(rel.NumRows(), &out, scan_batch);
-    if (!scan.ok()) return scan;
-    ctx->NotePeak(out);
-    op_span.Attr("rows_out", out.NumRows());
-    op_span.Attr("batches", NumBatches(rel.NumRows()));
-    if (ctx->replan != nullptr) {
-      ctx->replan->NoteScanActual(atom_index, out.NumRows());
-    }
-    return out;
   }
 
-  auto scan_range = [&](std::size_t lo, std::size_t hi,
+  const bool parallel = UseParallel(ctx, rel.NumRows());
+  auto scan_batch = [&](std::size_t lo, std::size_t hi,
                         Relation* sink) -> Status {
-    std::vector<Value> row(source_col.size());
-    for (std::size_t r = lo; r < hi; ++r) {
-      Status work = ctx->ChargeWork(1);
-      if (!work.ok()) return work;
-      auto src = rel.Row(r);
-      bool pass = true;
-      for (const AtomFilter& f : atom.filters) {
-        if (!f.Matches(src[f.column])) {
-          pass = false;
-          break;
+    Status work = ctx->ChargeWork(hi - lo);
+    if (!work.ok()) return work;
+    const std::size_t n = hi - lo;
+    std::vector<ColumnVector> cols_v(referenced.size());
+    for (std::size_t i = 0; i < referenced.size(); ++i) {
+      cols_v[i] = ExtractColumn(rel, referenced[i], lo, n);
+    }
+    Selection sel(n);
+    std::iota(sel.begin(), sel.end(), uint32_t{0});
+    for (const AtomFilter& f : atom.filters) {
+      if (sel.empty()) break;
+      FilterSelection(f, cols_v[slot[f.column]], &sel);
+    }
+    for (const LocalComparison& c : atom.local_comparisons) {
+      if (sel.empty()) break;
+      CompareSelection(c.op, cols_v[slot[c.lcolumn]],
+                       cols_v[slot[c.rcolumn]], &sel);
+    }
+    for (const auto& [ca, cb] : equal_pairs) {
+      if (sel.empty()) break;
+      EqualitySelection(cols_v[slot[ca]], cols_v[slot[cb]], &sel);
+    }
+    ctx->batches.fetch_add(1, std::memory_order_relaxed);
+    if (sel.empty()) return Status::Ok();
+    Status s = ctx->ChargeRows(sel.size());
+    if (!s.ok()) return s;
+    const std::size_t stride = source_col.size();
+    if (!parallel) {
+      // Serial sinks span every batch: extrapolate survivor density over
+      // [0, hi) to the whole relation and reserve once (capped by the
+      // input size — a scan never emits more rows than it reads) instead
+      // of riding the doubling ladder. Parallel chunk sinks get one
+      // exact-size append each.
+      const std::size_t need = sink->NumRows() + sel.size();
+      if (need > sink->CapacityRows()) {
+        const auto projected = static_cast<std::size_t>(
+            static_cast<double>(need) * static_cast<double>(rel.NumRows()) /
+            static_cast<double>(hi));
+        sink->Reserve(std::min(rel.NumRows(),
+                               std::max(need, projected + projected / 8)));
+      }
+    }
+    Value* base = sink->AppendRaw(sel.size());
+    for (std::size_t i = 0; i < stride; ++i) {
+      if (source_col[i] == kTid) {
+        for (std::size_t k = 0; k < sel.size(); ++k) {
+          base[k * stride + i] =
+              Value::Int64(static_cast<int64_t>(lo + sel[k]));
         }
+      } else {
+        GatherColumn(cols_v[slot[source_col[i]]], sel, base, stride, i);
       }
-      if (!pass) continue;
-      for (const LocalComparison& c : atom.local_comparisons) {
-        if (!EvalCompare(c.op, src[c.lcolumn], src[c.rcolumn])) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) continue;
-      // Intra-atom variable equality: every binding of a var must agree.
-      for (const AtomBinding& b : atom.bindings) {
-        std::size_t first_col = b.column;
-        for (const AtomBinding& b2 : atom.bindings) {
-          if (b2.var == b.var && b2.column != first_col &&
-              src[b2.column].Compare(src[first_col]) != 0) {
-            pass = false;
-            break;
-          }
-        }
-        if (!pass) break;
-      }
-      if (!pass) continue;
-      for (std::size_t i = 0; i < source_col.size(); ++i) {
-        row[i] = source_col[i] == kTid ? Value::Int64(static_cast<int64_t>(r))
-                                       : src[source_col[i]];
-      }
-      Status s = ctx->ChargeRows(1);
-      if (!s.ok()) return s;
-      sink->AddRow(row);
     }
     return Status::Ok();
   };
   Status scan =
-      UseParallel(ctx, rel.NumRows())
-          ? ParallelAppend(ctx, rel.NumRows(), &out, op_span.id(), scan_range)
-          : scan_range(0, rel.NumRows(), &out);
+      RunBatches(ctx, rel.NumRows(), &out, op_span.id(), scan_batch);
   if (!scan.ok()) return scan;
   ctx->NotePeak(out);
   op_span.Attr("rows_out", out.NumRows());
+  op_span.Attr("batches", NumBatches(rel.NumRows()));
   if (ctx->replan != nullptr) {
     ctx->replan->NoteScanActual(atom_index, out.NumRows());
   }
@@ -1072,199 +979,80 @@ Result<Relation> NaturalHashJoin(const Relation& left, const Relation& right,
   ScopedTableMemory working(ctx, working_bytes);
   if (!working.status().ok()) return working.status();
 
-  if (ctx->vectorized && !lcols.empty()) {
-    // Vectorized probe. Key columns and hashes are extracted once per side
-    // into typed blocks (hashes bit-identical to HashRowKey, so the Bloom
-    // filter, bucket layout and chain candidate sets equal the row path's).
-    // Each probe batch collects its (build, probe) match pairs in a tight
-    // loop — no Status, no Value calls — then charges work for every chain
-    // candidate visited and one row per match, and gathers output rows as
-    // whole-row memcpys. Cross products (no shared columns) stay on the
-    // row path below.
-    KeyBlock bkey = BuildKeyBlock(build, bcols);
-    KeyBlock pkey = BuildKeyBlock(probe, pcols);
-    BlockedBloomFilter bloom(build.NumRows());
-    for (std::size_t h : bkey.hashes) bloom.Add(h);
-    HashChainIndex table(build.NumRows());
-    for (std::size_t r = 0; r < build.NumRows(); ++r) {
-      table.Insert(bkey.hashes[r], r);
-    }
-    // Single-int64-key fast path: the hash is a pure function of the
-    // payload, so payload equality decides exactly what the hash check +
-    // KeyRowsEqual pair decides — one load and compare per candidate.
-    const bool key_i64 = bkey.cols.size() == 1 &&
-                         bkey.cols[0].cls == ColumnClass::kI64 &&
-                         pkey.cols[0].cls == ColumnClass::kI64;
-    const int64_t* bkey_i64 = key_i64 ? bkey.cols[0].i64.data() : nullptr;
-    const int64_t* pkey_i64 = key_i64 ? pkey.cols[0].i64.data() : nullptr;
-    const bool parallel = UseParallel(ctx, probe.NumRows());
-
-    auto probe_batch = [&](std::size_t lo, std::size_t hi,
+  if (lcols.empty()) {
+    // Cross product: every build row matches every probe row, one work
+    // unit and one row charge per pair.
+    auto cross_range = [&](std::size_t lo, std::size_t hi,
                            Relation* sink) -> Status {
-      // (build row, probe offset in [lo, hi)) per match, in probe order.
-      std::vector<std::pair<uint32_t, uint32_t>> matches;
-      matches.reserve(hi - lo);
-      std::size_t candidates = 0;
-      std::size_t bloom_skipped = 0;
+      std::vector<Value> row(out.arity());
       for (std::size_t p = lo; p < hi; ++p) {
-        const std::size_t h = pkey.hashes[p];
-        if (!bloom.MayContain(h)) {
-          ++bloom_skipped;
-          continue;
-        }
-        if (key_i64) {
-          const int64_t key = pkey_i64[p];
-          for (uint32_t it = table.First(h); it != HashChainIndex::kEnd;
-               it = table.Next(it)) {
-            ++candidates;
-            if (bkey_i64[it] == key) {
-              matches.emplace_back(it, static_cast<uint32_t>(p - lo));
-            }
-          }
-          continue;
-        }
-        for (uint32_t it = table.First(h); it != HashChainIndex::kEnd;
-             it = table.Next(it)) {
-          ++candidates;
-          if (bkey.hashes[it] == h && KeyRowsEqual(bkey, it, pkey, p)) {
-            matches.emplace_back(it, static_cast<uint32_t>(p - lo));
-          }
-        }
-      }
-      ctx->batches.fetch_add(1, std::memory_order_relaxed);
-      ctx->hash_probes.fetch_add(hi - lo, std::memory_order_relaxed);
-      ctx->bloom_skips.fetch_add(bloom_skipped, std::memory_order_relaxed);
-      if (candidates > 0) {
-        Status st = ctx->ChargeWork(candidates);
-        if (!st.ok()) return st;
-      }
-      if (matches.empty()) return Status::Ok();
-      Status st = ctx->ChargeRows(matches.size());
-      if (!st.ok()) return st;
-      const std::size_t la = left.arity();
-      const std::size_t stride = out.arity();
-      const std::size_t barity = build.arity();
-      const std::size_t parity = probe.arity();
-      const Value* bdata = build.RowPtr(0);
-      const Value* pdata = probe.RowPtr(lo);
-      if (!parallel) {
-        // The serial sink spans every batch, so match density over [0, hi)
-        // extrapolates to the whole probe side; one density-informed
-        // reserve replaces the doubling ladder, which would recopy all
-        // rows gathered so far at each step. Parallel chunk sinks see one
-        // exact-size append each and skip this.
-        const std::size_t need = sink->NumRows() + matches.size();
-        if (need > sink->CapacityRows()) {
-          const auto projected = static_cast<std::size_t>(
-              static_cast<double>(need) *
-              static_cast<double>(probe.NumRows()) / static_cast<double>(hi));
-          sink->Reserve(std::max(need, projected + projected / 8));
-        }
-      }
-      Value* base = sink->AppendRaw(matches.size());
-      for (std::size_t k = 0; k < matches.size(); ++k) {
-        const Value* brow = bdata + matches[k].first * barity;
-        const Value* prow = pdata + matches[k].second * parity;
-        const Value* lrow = build_left ? brow : prow;
-        const Value* rrow = build_left ? prow : brow;
-        Value* dst = base + k * stride;
-        std::copy_n(lrow, la, dst);
-        std::size_t i = la;
-        for (std::size_t rc : right_only) dst[i++] = rrow[rc];
-      }
-      return Status::Ok();
-    };
-    Status vec_status =
-        UseParallel(ctx, probe.NumRows())
-            ? ParallelAppend(ctx, probe.NumRows(), &out, op_span.id(),
-                             probe_batch)
-            : SerialBatches(probe.NumRows(), &out, probe_batch);
-    if (!vec_status.ok()) return vec_status;
-    ctx->NotePeak(out);
-    op_span.Attr("rows_out", out.NumRows());
-    op_span.Attr("batches", NumBatches(probe.NumRows()));
-    return out;
-  }
-
-  // Both sides' key hashes up front; the build table is then pure pointer
-  // writes and the probe loop never calls Value::Hash. The table is built
-  // once and probed read-only from all lanes, so chain iteration order —
-  // and with it every per-candidate work charge and per-probe match order —
-  // is identical at any thread count.
-  std::vector<std::size_t> build_hash = PrecomputeKeyHashes(build, bcols, ctx);
-  std::vector<std::size_t> probe_hash =
-      lcols.empty() ? std::vector<std::size_t>{}
-                    : PrecomputeKeyHashes(probe, pcols, ctx);
-  // Bloom prefilter over the build-side hashes: a probe that misses it has
-  // no chain partner, so the walk (and its per-candidate work charges) is
-  // skipped outright. Built once before probing, from the same precomputed
-  // hashes at every thread count — output and meters stay byte-identical.
-  BlockedBloomFilter bloom(build.NumRows());
-  for (std::size_t h : build_hash) bloom.Add(h);
-  HashChainIndex table(build.NumRows());
-  for (std::size_t r = 0; r < build.NumRows(); ++r) {
-    table.Insert(build_hash[r], r);
-  }
-
-  auto probe_range = [&](std::size_t lo, std::size_t hi,
-                         Relation* sink) -> Status {
-    std::vector<Value> row(out.arity());
-    std::size_t bloom_skipped = 0;
-    for (std::size_t p = lo; p < hi; ++p) {
-      auto probe_row = probe.Row(p);
-      auto emit = [&](std::size_t b) -> Status {
-        auto build_row = build.Row(b);
-        auto lrow = build_left ? build_row : probe_row;
-        auto rrow = build_left ? probe_row : build_row;
-        std::size_t i = 0;
-        for (; i < left.arity(); ++i) row[i] = lrow[i];
-        for (std::size_t r : right_only) row[i++] = rrow[r];
-        Status st = ctx->ChargeRows(1);
-        if (!st.ok()) return st;
-        sink->AddRow(row);
-        return Status::Ok();
-      };
-      if (lcols.empty()) {
-        // Cross product: every build row matches.
+        auto probe_row = probe.Row(p);
         for (std::size_t b = 0; b < build.NumRows(); ++b) {
           Status st = ctx->ChargeWork(1);
           if (!st.ok()) return st;
-          st = emit(b);
+          auto build_row = build.Row(b);
+          auto lrow = build_left ? build_row : probe_row;
+          auto rrow = build_left ? probe_row : build_row;
+          std::size_t i = 0;
+          for (; i < left.arity(); ++i) row[i] = lrow[i];
+          for (std::size_t r : right_only) row[i++] = rrow[r];
+          st = ctx->ChargeRows(1);
           if (!st.ok()) return st;
-        }
-        continue;
-      }
-      std::size_t h = probe_hash[p];
-      if (!bloom.MayContain(h)) {
-        ++bloom_skipped;
-        continue;
-      }
-      for (uint32_t it = table.First(h); it != HashChainIndex::kEnd;
-           it = table.Next(it)) {
-        Status st = ctx->ChargeWork(1);
-        if (!st.ok()) return st;
-        if (build_hash[it] == h &&
-            RowKeysEqual(build.Row(it), bcols, probe_row, pcols)) {
-          st = emit(it);
-          if (!st.ok()) return st;
+          sink->AddRow(row);
         }
       }
+      return Status::Ok();
+    };
+    Status cross = RunBatches(ctx, probe.NumRows(), &out, op_span.id(),
+                              cross_range);
+    if (!cross.ok()) return cross;
+    ctx->NotePeak(out);
+    op_span.Attr("rows_out", out.NumRows());
+    return out;
+  }
+
+  // Each probe batch collects its (build, probe) match pairs through the
+  // match kernel — no Status, no Value calls — then charges work for every
+  // chain candidate visited and one row per match, and gathers output rows
+  // as whole-row memcpys.
+  const HashBuild table(build, bcols);
+  const KeyBlock pkey = BuildKeyBlock(probe, pcols);
+  const JoinShape shape{build_left, left.arity(), &right_only};
+  const bool parallel = UseParallel(ctx, probe.NumRows());
+  auto probe_batch = [&](std::size_t lo, std::size_t hi,
+                         Relation* sink) -> Status {
+    std::vector<std::pair<uint32_t, uint32_t>> matches;
+    matches.reserve(hi - lo);
+    const ProbeTally tally = ProbeMatches<false>(
+        table, pkey, lo, hi, [&](uint32_t brow, uint32_t prow) {
+          matches.emplace_back(brow, prow);
+        });
+    Status st = MeterProbeBatch(ctx, hi - lo, tally, matches.size());
+    if (!st.ok() || matches.empty()) return st;
+    if (!parallel) {
+      // The serial sink spans every batch, so match density over [0, hi)
+      // extrapolates to the whole probe side; one density-informed reserve
+      // replaces the doubling ladder, which would recopy all rows gathered
+      // so far at each step. Parallel chunk sinks see one exact-size append
+      // each and skip this.
+      const std::size_t need = sink->NumRows() + matches.size();
+      if (need > sink->CapacityRows()) {
+        const auto projected = static_cast<std::size_t>(
+            static_cast<double>(need) * static_cast<double>(probe.NumRows()) /
+            static_cast<double>(hi));
+        sink->Reserve(std::max(need, projected + projected / 8));
+      }
     }
-    if (!lcols.empty()) {
-      // One add per probe batch keeps contention negligible.
-      ctx->hash_probes.fetch_add(hi - lo, std::memory_order_relaxed);
-      ctx->bloom_skips.fetch_add(bloom_skipped, std::memory_order_relaxed);
-    }
+    GatherJoinRows(shape, build, probe.RowPtr(0), probe.arity(), matches,
+                   sink->AppendRaw(matches.size()));
     return Status::Ok();
   };
-  Status probe_status =
-      UseParallel(ctx, probe.NumRows())
-          ? ParallelAppend(ctx, probe.NumRows(), &out, op_span.id(),
-                           probe_range)
-          : probe_range(0, probe.NumRows(), &out);
-  if (!probe_status.ok()) return probe_status;
+  Status probed =
+      RunBatches(ctx, probe.NumRows(), &out, op_span.id(), probe_batch);
+  if (!probed.ok()) return probed;
   ctx->NotePeak(out);
   op_span.Attr("rows_out", out.NumRows());
+  op_span.Attr("batches", NumBatches(probe.NumRows()));
   return out;
 }
 
@@ -1301,87 +1089,6 @@ Result<Relation> NaturalNestedLoopJoin(const Relation& left,
   return out;
 }
 
-Result<Relation> NaturalSortMergeJoin(const Relation& left,
-                                      const Relation& right,
-                                      ExecContext* ctx) {
-  ScopedSpan op_span(ctx->tracer, "op.merge_join", ctx->SpanParent());
-  op_span.Attr("rows_left", left.NumRows());
-  op_span.Attr("rows_right", right.NumRows());
-  std::vector<std::size_t> lcols, rcols, right_only;
-  SharedColumns(left.schema(), right.schema(), &lcols, &rcols, &right_only);
-  if (lcols.empty()) {
-    // Cross product: no merge order exists; delegate to the hash join's
-    // cross-product path.
-    return NaturalHashJoin(left, right, ctx);
-  }
-
-  Relation sorted_left = left;
-  Relation sorted_right = right;
-  sorted_left.SortBy(lcols);
-  sorted_right.SortBy(rcols);
-  Status s = ctx->ChargeWork(left.NumRows() + right.NumRows());
-  if (!s.ok()) return s;
-
-  Relation out{JoinedSchema(left.schema(), right.schema(), right_only)};
-  Status alloc = out.TryReserve(std::max(left.NumRows(), right.NumRows()));
-  if (!alloc.ok()) return alloc;
-  auto compare_keys = [&](std::size_t l, std::size_t r) {
-    auto lrow = sorted_left.Row(l);
-    auto rrow = sorted_right.Row(r);
-    for (std::size_t i = 0; i < lcols.size(); ++i) {
-      int cmp = lrow[lcols[i]].Compare(rrow[rcols[i]]);
-      if (cmp != 0) return cmp;
-    }
-    return 0;
-  };
-
-  std::vector<Value> row(out.arity());
-  std::size_t l = 0, r = 0;
-  while (l < sorted_left.NumRows() && r < sorted_right.NumRows()) {
-    int cmp = compare_keys(l, r);
-    if (cmp < 0) {
-      ++l;
-      continue;
-    }
-    if (cmp > 0) {
-      ++r;
-      continue;
-    }
-    // Duplicate runs: emit the cross product of equal-key blocks.
-    std::size_t l_end = l + 1;
-    while (l_end < sorted_left.NumRows() &&
-           RowKeysEqual(sorted_left.Row(l_end), lcols, sorted_left.Row(l),
-                        lcols)) {
-      ++l_end;
-    }
-    std::size_t r_end = r + 1;
-    while (r_end < sorted_right.NumRows() &&
-           RowKeysEqual(sorted_right.Row(r_end), rcols, sorted_right.Row(r),
-                        rcols)) {
-      ++r_end;
-    }
-    for (std::size_t li = l; li < l_end; ++li) {
-      auto lrow = sorted_left.Row(li);
-      for (std::size_t ri = r; ri < r_end; ++ri) {
-        Status st = ctx->ChargeWork(1);
-        if (!st.ok()) return st;
-        auto rrow = sorted_right.Row(ri);
-        std::size_t i = 0;
-        for (; i < left.arity(); ++i) row[i] = lrow[i];
-        for (std::size_t rc : right_only) row[i++] = rrow[rc];
-        st = ctx->ChargeRows(1);
-        if (!st.ok()) return st;
-        out.AddRow(row);
-      }
-    }
-    l = l_end;
-    r = r_end;
-  }
-  ctx->NotePeak(out);
-  op_span.Attr("rows_out", out.NumRows());
-  return out;
-}
-
 Result<Relation> NaturalSemiJoin(const Relation& left, const Relation& right,
                                  ExecContext* ctx) {
   ScopedSpan op_span(ctx->tracer, "op.semijoin", ctx->SpanParent());
@@ -1411,136 +1118,42 @@ Result<Relation> NaturalSemiJoin(const Relation& left, const Relation& right,
   ScopedTableMemory working(ctx, working_bytes);
   if (!working.status().ok()) return working.status();
 
-  if (ctx->vectorized) {
-    // Vectorized probe: same shape as the hash join's, but first match
-    // wins and — like the row path — chain candidates charge no work (the
-    // semijoin's work charge is the prolog's per-input-row charge). Matched
-    // left rows are gathered as whole-row memcpys in probe order.
-    KeyBlock rkey = BuildKeyBlock(right, rcols);
-    KeyBlock lkey = BuildKeyBlock(left, lcols);
-    BlockedBloomFilter bloom(right.NumRows());
-    for (std::size_t h : rkey.hashes) bloom.Add(h);
-    HashChainIndex table(right.NumRows());
-    for (std::size_t r = 0; r < right.NumRows(); ++r) {
-      table.Insert(rkey.hashes[r], r);
-    }
-    // Single-int64-key fast path, as in the hash join: payload equality is
-    // exactly the hash check + KeyRowsEqual pair for this class.
-    const bool key_i64 = rkey.cols.size() == 1 &&
-                         rkey.cols[0].cls == ColumnClass::kI64 &&
-                         lkey.cols[0].cls == ColumnClass::kI64;
-    const int64_t* rkey_i64 = key_i64 ? rkey.cols[0].i64.data() : nullptr;
-    const int64_t* lkey_i64 = key_i64 ? lkey.cols[0].i64.data() : nullptr;
-    const bool parallel = UseParallel(ctx, left.NumRows());
-    auto probe_batch = [&](std::size_t lo, std::size_t hi,
-                           Relation* sink) -> Status {
-      std::vector<uint32_t> matched;  // offsets in [lo, hi), ascending
-      std::size_t bloom_skipped = 0;
-      for (std::size_t l = lo; l < hi; ++l) {
-        const std::size_t h = lkey.hashes[l];
-        if (!bloom.MayContain(h)) {
-          ++bloom_skipped;
-          continue;
-        }
-        if (key_i64) {
-          const int64_t key = lkey_i64[l];
-          for (uint32_t it = table.First(h); it != HashChainIndex::kEnd;
-               it = table.Next(it)) {
-            if (rkey_i64[it] == key) {
-              matched.push_back(static_cast<uint32_t>(l - lo));
-              break;
-            }
-          }
-          continue;
-        }
-        for (uint32_t it = table.First(h); it != HashChainIndex::kEnd;
-             it = table.Next(it)) {
-          if (rkey.hashes[it] == h && KeyRowsEqual(rkey, it, lkey, l)) {
-            matched.push_back(static_cast<uint32_t>(l - lo));
-            break;
-          }
-        }
-      }
-      ctx->batches.fetch_add(1, std::memory_order_relaxed);
-      ctx->hash_probes.fetch_add(hi - lo, std::memory_order_relaxed);
-      ctx->bloom_skips.fetch_add(bloom_skipped, std::memory_order_relaxed);
-      if (matched.empty()) return Status::Ok();
-      Status st = ctx->ChargeRows(matched.size());
-      if (!st.ok()) return st;
-      const std::size_t stride = left.arity();
-      if (!parallel) {
-        // Same density-extrapolated reserve as the scan; a semijoin never
-        // emits more rows than its left input.
-        const std::size_t need = sink->NumRows() + matched.size();
-        if (need > sink->CapacityRows()) {
-          const auto projected = static_cast<std::size_t>(
-              static_cast<double>(need) * static_cast<double>(left.NumRows()) /
-              static_cast<double>(hi));
-          sink->Reserve(std::min(left.NumRows(),
-                                 std::max(need, projected + projected / 8)));
-        }
-      }
-      Value* base = sink->AppendRaw(matched.size());
-      for (std::size_t k = 0; k < matched.size(); ++k) {
-        std::copy_n(left.RowPtr(lo + matched[k]), stride, base + k * stride);
-      }
-      return Status::Ok();
-    };
-    Status vec_status =
-        UseParallel(ctx, left.NumRows())
-            ? ParallelAppend(ctx, left.NumRows(), &out, op_span.id(),
-                             probe_batch)
-            : SerialBatches(left.NumRows(), &out, probe_batch);
-    if (!vec_status.ok()) return vec_status;
-    ctx->NotePeak(out);
-    op_span.Attr("rows_out", out.NumRows());
-    op_span.Attr("batches", NumBatches(left.NumRows()));
-    return out;
-  }
-
-  std::vector<std::size_t> right_hash = PrecomputeKeyHashes(right, rcols, ctx);
-  std::vector<std::size_t> left_hash = PrecomputeKeyHashes(left, lcols, ctx);
-  // Bloom prefilter over the right-side hashes — the semijoin's selective
-  // case (most left rows partnerless) resolves without touching the chain.
-  BlockedBloomFilter bloom(right.NumRows());
-  for (std::size_t h : right_hash) bloom.Add(h);
-  HashChainIndex table(right.NumRows());
-  for (std::size_t r = 0; r < right.NumRows(); ++r) {
-    table.Insert(right_hash[r], r);
-  }
-  auto probe_range = [&](std::size_t lo, std::size_t hi,
+  // Same shape as the hash join's probe, but first match wins and chain
+  // candidates charge no work (the semijoin's work charge is the per-input-
+  // row charge above). Matched left rows are gathered as whole-row memcpys
+  // in probe order.
+  const HashBuild table(right, rcols);
+  const KeyBlock lkey = BuildKeyBlock(left, lcols);
+  const bool parallel = UseParallel(ctx, left.NumRows());
+  auto probe_batch = [&](std::size_t lo, std::size_t hi,
                          Relation* sink) -> Status {
-    std::size_t bloom_skipped = 0;
-    for (std::size_t l = lo; l < hi; ++l) {
-      auto lrow = left.Row(l);
-      std::size_t h = left_hash[l];
-      if (!bloom.MayContain(h)) {
-        ++bloom_skipped;
-        continue;
-      }
-      for (uint32_t it = table.First(h); it != HashChainIndex::kEnd;
-           it = table.Next(it)) {
-        if (right_hash[it] == h &&
-            RowKeysEqual(right.Row(it), rcols, lrow, lcols)) {
-          Status st = ctx->ChargeRows(1);
-          if (!st.ok()) return st;
-          sink->AddRow(lrow);
-          break;
-        }
+    std::vector<uint32_t> matched;  // left rows in [lo, hi), ascending
+    const ProbeTally tally = ProbeMatches<true>(
+        table, lkey, lo, hi,
+        [&](uint32_t, uint32_t lrow) { matched.push_back(lrow); });
+    Status st = MeterProbeBatch(ctx, hi - lo, tally, matched.size());
+    if (!st.ok() || matched.empty()) return st;
+    if (!parallel) {
+      // Same density-extrapolated reserve as the scan; a semijoin never
+      // emits more rows than its left input.
+      const std::size_t need = sink->NumRows() + matched.size();
+      if (need > sink->CapacityRows()) {
+        const auto projected = static_cast<std::size_t>(
+            static_cast<double>(need) * static_cast<double>(left.NumRows()) /
+            static_cast<double>(hi));
+        sink->Reserve(std::min(left.NumRows(),
+                               std::max(need, projected + projected / 8)));
       }
     }
-    ctx->hash_probes.fetch_add(hi - lo, std::memory_order_relaxed);
-    ctx->bloom_skips.fetch_add(bloom_skipped, std::memory_order_relaxed);
+    AppendRowsAt(left, 0, matched, sink);
     return Status::Ok();
   };
-  Status probe_status =
-      UseParallel(ctx, left.NumRows())
-          ? ParallelAppend(ctx, left.NumRows(), &out, op_span.id(),
-                           probe_range)
-          : probe_range(0, left.NumRows(), &out);
-  if (!probe_status.ok()) return probe_status;
+  Status probed =
+      RunBatches(ctx, left.NumRows(), &out, op_span.id(), probe_batch);
+  if (!probed.ok()) return probed;
   ctx->NotePeak(out);
   op_span.Attr("rows_out", out.NumRows());
+  op_span.Attr("batches", NumBatches(left.NumRows()));
   return out;
 }
 

@@ -67,11 +67,6 @@ struct ExecContext {
   // barrier waves. Borrowed like `governor`.
   Tracer* tracer = nullptr;
   uint64_t trace_parent = 0;
-  // Vectorized execution: operators process kBatchRows-sized columnar
-  // batches with tight typed kernels instead of row-at-a-time Value loops.
-  // Output, charge totals, and probe/bloom meters are byte-identical either
-  // way (see exec/batch.h); the row path stays for differential testing.
-  bool vectorized = true;
   // Adaptive mid-query re-planning (exec/adaptive.h): with a controller
   // armed, ScanAtom reports actual cardinalities and the q-HD evaluator
   // checks intermediates against their estimates at every wave barrier.
@@ -98,8 +93,8 @@ struct ExecContext {
   // same precomputed hashes at every thread count), so serial and parallel
   // runs report identical counts. Feeds htqo_bloom_skips_per_query.
   std::atomic<std::size_t> bloom_skips{0};
-  // Columnar batches processed by the vectorized kernels; zero on the row
-  // path. Feeds EXPLAIN ANALYZE per-operator batch counts and the
+  // Columnar batches processed by the batch kernels, spill partitions
+  // included. Feeds EXPLAIN ANALYZE per-operator batch counts and the
   // htqo_exec_batches_per_query metric. Deterministic at any thread count:
   // the parallel grain equals kBatchRows, so chunk boundaries match.
   std::atomic<std::size_t> batches{0};
@@ -118,7 +113,6 @@ struct ExecContext {
     soft_memory_bytes = other.soft_memory_bytes;
     tracer = other.tracer;
     trace_parent = other.trace_parent;
-    vectorized = other.vectorized;
     replan = other.replan;
     shard = other.shard;
     rows_charged.store(other.rows_charged.load(std::memory_order_relaxed),
@@ -237,29 +231,17 @@ Result<Relation> NaturalNestedLoopJoin(const Relation& left,
                                        const Relation& right,
                                        ExecContext* ctx);
 
-// Same result as NaturalHashJoin, computed by sorting both inputs on the
-// shared columns and merging (with cross products inside duplicate runs).
-// The third classical join algorithm; cache-friendly on presorted inputs.
-Result<Relation> NaturalSortMergeJoin(const Relation& left,
-                                      const Relation& right,
-                                      ExecContext* ctx);
-
 // Rows of `left` having at least one natural-join partner in `right`.
 Result<Relation> NaturalSemiJoin(const Relation& left, const Relation& right,
                                  ExecContext* ctx);
 
-// Projects `rel` onto the named columns (in that order); unknown names are a
-// checked failure. Deduplicates when `distinct`.
-Relation ProjectByName(const Relation& rel,
-                       const std::vector<std::string>& columns, bool distinct);
-
-// Context-aware variant used at the hot q-HD/Yannakakis call sites: the
-// distinct pass goes through SpillableDistinct below, so a projection whose
-// dedup working set crosses the soft memory threshold spills instead of
-// materializing its hash index in memory. Same rows, same order.
+// Projects `rel` onto the named columns (in that order; unknown names are a
+// checked failure) and deduplicates through SpillableDistinct below, so a
+// projection whose dedup working set crosses the soft memory threshold
+// spills instead of materializing its hash index in memory.
 Result<Relation> ProjectByName(const Relation& rel,
                                const std::vector<std::string>& columns,
-                               bool distinct, ExecContext* ctx);
+                               ExecContext* ctx);
 
 // Relation::Distinct with working-set accounting and a Grace-partitioned
 // spill path — byte-identical to Distinct() (first occurrence of every row,

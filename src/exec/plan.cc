@@ -29,9 +29,7 @@ void JoinPlan::CollectAtoms(std::vector<std::size_t>* out) const {
 
 std::string JoinPlan::ToString(const ResolvedQuery& rq) const {
   if (IsLeaf()) return rq.cq.atoms[atom].alias;
-  const char* op = algo == JoinAlgo::kHash
-                       ? " HJ "
-                       : (algo == JoinAlgo::kNestedLoop ? " NL " : " SM ");
+  const char* op = algo == JoinAlgo::kHash ? " HJ " : " NL ";
   return "(" + left->ToString(rq) + op + right->ToString(rq) + ")";
 }
 
@@ -45,11 +43,8 @@ Result<Relation> ExecuteJoinPlan(const JoinPlan& plan, const ResolvedQuery& rq,
     if (scan.ok()) node_span.Attr("rows_out", scan->NumRows());
     return scan;
   }
-  node_span.Attr("op", plan.algo == JoinAlgo::kHash
-                           ? "hash_join"
-                           : (plan.algo == JoinAlgo::kNestedLoop
-                                  ? "nl_join"
-                                  : "merge_join"));
+  node_span.Attr("op",
+                 plan.algo == JoinAlgo::kHash ? "hash_join" : "nl_join");
   auto left = ExecuteJoinPlan(*plan.left, rq, catalog, ctx);
   if (!left.ok()) return left.status();
   auto right = ExecuteJoinPlan(*plan.right, rq, catalog, ctx);
@@ -61,9 +56,6 @@ Result<Relation> ExecuteJoinPlan(const JoinPlan& plan, const ResolvedQuery& rq,
       break;
     case JoinAlgo::kNestedLoop:
       joined = NaturalNestedLoopJoin(*left, *right, ctx);
-      break;
-    case JoinAlgo::kSortMerge:
-      joined = NaturalSortMergeJoin(*left, *right, ctx);
       break;
   }
   if (joined.ok()) node_span.Attr("rows_out", joined->NumRows());

@@ -17,7 +17,7 @@
 
 namespace htqo {
 
-enum class JoinAlgo { kHash, kNestedLoop, kSortMerge };
+enum class JoinAlgo { kHash, kNestedLoop };
 
 struct JoinPlan {
   // Leaf when left == nullptr: scans `atom`.

@@ -217,9 +217,9 @@ inline constexpr const char kMetricPlanCacheHitLatencyUs[] =
 // Bloom filter let the join/semijoin kernels skip (next to hash_probes).
 inline constexpr const char kMetricBloomSkipsPerQuery[] =
     "htqo_bloom_skips_per_query";
-// Columnar batches processed per query by the vectorized engine (DESIGN.md
-// §6g); 0 under use_vectorized=false or for queries that never reach a
-// batched operator.
+// Columnar batches processed per query by the batch engine (DESIGN.md §6g),
+// spill partitions included; 0 for queries that never reach a batched
+// operator.
 inline constexpr const char kMetricExecBatchesPerQuery[] =
     "htqo_exec_batches_per_query";
 // Query server & admission control (DESIGN.md §6f). The admission counters

@@ -46,12 +46,6 @@ double PlanCostModel::JoinWork(double left_rows, double right_rows,
   switch (algo) {
     case JoinAlgo::kNestedLoop:
       return left_rows * right_rows;
-    case JoinAlgo::kSortMerge: {
-      auto nlogn = [](double n) {
-        return n <= 1 ? n : n * std::log2(n);
-      };
-      return nlogn(left_rows) + nlogn(right_rows) + out_rows;
-    }
     case JoinAlgo::kHash:
       return left_rows + right_rows + out_rows;
   }

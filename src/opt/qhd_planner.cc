@@ -22,7 +22,7 @@ Result<Relation> ProjectToChi(const ResolvedQuery& rq, const Bitset& chi,
     const std::string& name = rq.cq.vars[v].name;
     if (rel.schema().IndexOf(name).has_value()) keep.push_back(name);
   }
-  return ProjectByName(rel, keep, /*distinct=*/true, ctx);
+  return ProjectByName(rel, keep, ctx);
 }
 
 }  // namespace
@@ -180,7 +180,7 @@ Result<Relation> EvaluateDecomposition(const ResolvedQuery& rq,
         }
         if (needed) names.push_back(col.name);
       }
-      return ProjectByName(in, names, /*distinct=*/true, ctx);
+      return ProjectByName(in, names, ctx);
     };
 
     std::vector<bool> used(pool.size(), false);
@@ -303,7 +303,7 @@ Result<Relation> EvaluateDecomposition(const ResolvedQuery& rq,
   std::vector<std::string> out_names;
   out_names.reserve(rq.cq.output_vars.size());
   for (VarId v : rq.cq.output_vars) out_names.push_back(rq.cq.vars[v].name);
-  return ProjectByName(*rel[hd.root()], out_names, /*distinct=*/true, ctx);
+  return ProjectByName(*rel[hd.root()], out_names, ctx);
 }
 
 Result<QhdEvaluation> EvaluateQhd(const ResolvedQuery& rq,

@@ -97,7 +97,7 @@ Result<Relation> ThreePass(std::vector<Relation> nodes, const Forest& forest,
       }
       if (needed) keep.push_back(col.name);
     }
-    auto projected = ProjectByName(t, keep, /*distinct=*/true, ctx);
+    auto projected = ProjectByName(t, keep, ctx);
     if (!projected.ok()) return projected.status();
     collected[p] = std::move(projected.value());
     ctx->NotePeak(*collected[p]);
@@ -186,7 +186,7 @@ Result<Relation> ThreePass(std::vector<Relation> nodes, const Forest& forest,
     collected[r].reset();
   }
   HTQO_CHECK(result.has_value());
-  return ProjectByName(*result, out_names, /*distinct=*/true, ctx);
+  return ProjectByName(*result, out_names, ctx);
 }
 
 std::vector<std::string> OutNames(const ResolvedQuery& rq) {
@@ -324,7 +324,7 @@ Result<Relation> EvaluateDecompositionClassic(const ResolvedQuery& rq,
     for (std::size_t v : node.chi.ToVector()) {
       chi_names.push_back(rq.cq.vars[v].name);
     }
-    auto chi_rel = ProjectByName(current, chi_names, /*distinct=*/true, ctx);
+    auto chi_rel = ProjectByName(current, chi_names, ctx);
     if (!chi_rel.ok()) return chi_rel.status();
     nodes.push_back(std::move(chi_rel.value()));
     ctx->NotePeak(nodes.back());

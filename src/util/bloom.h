@@ -1,7 +1,7 @@
 // Blocked Bloom filter over precomputed row-key hashes.
 //
 // The join/semijoin kernels already compute one 64-bit hash per build-side
-// row (PrecomputeKeyHashes); this filter folds those hashes into one
+// row (KeyBlock); this filter folds those hashes into one
 // cache-line-sized block each, so a probe costs a single memory access
 // before the hash-chain walk. A probe that misses the filter provably has
 // no build-side match *for that hash*, so the kernel can skip the chain

@@ -66,6 +66,41 @@ TEST_F(NestedQueryTest, SimpleDerivedTableMatchesFlat) {
             std::string::npos);
 }
 
+TEST_F(NestedQueryTest, NestedRunCarriesTheSubqueryProbeMeters) {
+  // Mostly-disjoint join keys, so the subquery's hash kernels both probe
+  // and skip through the Bloom filter. The outer block is a single-atom
+  // scan, which probes nothing: every probe the nested run reports must
+  // come from its materialized subquery.
+  Catalog catalog;
+  Relation l{Schema({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}})};
+  Relation r{Schema({{"b", ValueType::kInt64}, {"c", ValueType::kInt64}})};
+  for (int64_t i = 0; i < 200; ++i) {
+    l.AddRow({Value::Int64(i), Value::Int64(i)});
+    r.AddRow({Value::Int64(i % 10 == 0 ? i : 100000 + i), Value::Int64(i)});
+  }
+  catalog.Put("l", std::move(l));
+  catalog.Put("r", std::move(r));
+  StatisticsRegistry registry;
+  registry.AnalyzeAll(catalog);
+  HybridOptimizer optimizer(&catalog, &registry);
+  const std::string sub = "SELECT l.a AS x FROM l, r WHERE l.b = r.b";
+  RunOptions options;
+  auto nested = optimizer.Run("SELECT d.x FROM (" + sub + ") d", options);
+  ASSERT_TRUE(nested.ok()) << nested.status().message();
+  // Derived tables materialize under bag semantics.
+  RunOptions sub_options = options;
+  sub_options.tid_mode = TidMode::kAllAtoms;
+  auto standalone = optimizer.Run(sub, sub_options);
+  ASSERT_TRUE(standalone.ok()) << standalone.status().message();
+  EXPECT_GT(standalone->ctx.hash_probes.load(), 0u);
+  EXPECT_GT(standalone->ctx.bloom_skips.load(), 0u);
+  EXPECT_EQ(nested->ctx.hash_probes.load(),
+            standalone->ctx.hash_probes.load());
+  EXPECT_EQ(nested->ctx.bloom_skips.load(),
+            standalone->ctx.bloom_skips.load());
+  EXPECT_GE(nested->ctx.batches.load(), standalone->ctx.batches.load());
+}
+
 TEST_F(NestedQueryTest, BagSemanticsSurviveMaterialization) {
   // The inner subquery is not DISTINCT; the outer sum must see duplicate
   // (a, b) rows from r1.

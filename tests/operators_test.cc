@@ -90,49 +90,16 @@ TEST_F(OperatorsTest, HashAndNestedLoopJoinsAgree) {
   EXPECT_EQ(hj->arity(), 2u);
 }
 
-TEST_F(OperatorsTest, SortMergeJoinAgreesWithHashJoin) {
-  ResolvedQuery rq =
-      Resolve("SELECT DISTINCT r.a FROM r, s WHERE r.b = s.b");
-  ExecContext ctx;
-  auto left = ScanAtom(rq, 0, catalog_, &ctx);
-  auto right = ScanAtom(rq, 1, catalog_, &ctx);
-  ASSERT_TRUE(left.ok() && right.ok());
-  auto hj = NaturalHashJoin(*left, *right, &ctx);
-  auto sm = NaturalSortMergeJoin(*left, *right, &ctx);
-  ASSERT_TRUE(hj.ok() && sm.ok());
-  EXPECT_TRUE(hj->SameRowsAs(*sm));
-}
-
-TEST_F(OperatorsTest, SortMergeJoinHandlesDuplicateRuns) {
+TEST_F(OperatorsTest, HashJoinEmitsEveryPairOfDuplicateKeys) {
   // 2x3 duplicate keys must produce a 6-row cross block.
   Relation a = IntRelation({"k", "x"}, {{1, 10}, {1, 11}, {2, 20}});
   Relation b = IntRelation({"k", "y"}, {{1, 91}, {1, 92}, {1, 93}, {3, 30}});
   ExecContext ctx;
-  auto sm = NaturalSortMergeJoin(a, b, &ctx);
-  ASSERT_TRUE(sm.ok());
-  EXPECT_EQ(sm->NumRows(), 6u);
   auto hj = NaturalHashJoin(a, b, &ctx);
-  ASSERT_TRUE(hj.ok());
-  EXPECT_TRUE(sm->SameRowsAs(*hj));
-}
-
-TEST_F(OperatorsTest, SortMergeJoinCrossProductFallback) {
-  Relation a = IntRelation({"x"}, {{1}, {2}});
-  Relation b = IntRelation({"y"}, {{7}, {8}});
-  ExecContext ctx;
-  auto sm = NaturalSortMergeJoin(a, b, &ctx);
-  ASSERT_TRUE(sm.ok());
-  EXPECT_EQ(sm->NumRows(), 4u);
-}
-
-TEST_F(OperatorsTest, SortMergeRespectsBudgets) {
-  Relation a = IntRelation({"k"}, {{1}, {1}, {1}});
-  Relation b = IntRelation({"k"}, {{1}, {1}, {1}});
-  ExecContext ctx;
-  ctx.row_budget = 4;  // 9 output rows needed
-  auto sm = NaturalSortMergeJoin(a, b, &ctx);
-  ASSERT_FALSE(sm.ok());
-  EXPECT_EQ(sm.status().code(), StatusCode::kResourceExhausted);
+  auto nl = NaturalNestedLoopJoin(a, b, &ctx);
+  ASSERT_TRUE(hj.ok() && nl.ok());
+  EXPECT_EQ(hj->NumRows(), 6u);
+  EXPECT_TRUE(hj->SameRowsAs(*nl));
 }
 
 TEST_F(OperatorsTest, JoinWithNoSharedColumnsIsCrossProduct) {
@@ -191,9 +158,14 @@ TEST_F(OperatorsTest, WorkBudgetTripsOnNestedLoop) {
 
 TEST_F(OperatorsTest, ProjectByNameDistinct) {
   Relation rel = IntRelation({"a", "b"}, {{1, 1}, {1, 2}, {1, 3}});
-  Relation p = ProjectByName(rel, {"a"}, /*distinct=*/true);
-  EXPECT_EQ(p.NumRows(), 1u);
-  Relation keep = ProjectByName(rel, {"b", "a"}, /*distinct=*/false);
+  ExecContext ctx;
+  auto p = ProjectByName(rel, {"a"}, &ctx);
+  ASSERT_TRUE(p.ok());
+  EXPECT_EQ(p->NumRows(), 1u);
+  auto distinct = SpillableDistinct(rel.Project(IndicesOf(rel, {"a"})), &ctx);
+  ASSERT_TRUE(distinct.ok());
+  EXPECT_EQ(distinct->NumRows(), 1u);
+  Relation keep = rel.Project(IndicesOf(rel, {"b", "a"}));
   EXPECT_EQ(keep.NumRows(), 3u);
   EXPECT_EQ(keep.schema().column(0).name, "b");
 }

@@ -10,11 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/hybrid_optimizer.h"
+#include "oracle.h"
 #include "util/fault_injector.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -189,18 +193,16 @@ TEST_P(ParallelEquivalenceTest, RandomQueriesAreThreadCountInvariant) {
 INSTANTIATE_TEST_SUITE_P(RandomQueries, ParallelEquivalenceTest,
                          ::testing::Range<uint64_t>(0, 25));
 
-// --- Row engine vs. vectorized engine: byte-identical, meter-identical. -----
+// --- Oracle equivalence: right rows, identical bytes and meters. ------------
 
-// The batch engine's equivalence contract (DESIGN.md §6g): flipping
-// RunOptions::use_vectorized changes wall-clock only. Output bytes, row/work
-// charges, hash-probe and bloom-skip meters all replay exactly, at every
-// thread count — the vectorized kernels feed the same hashes to the same
-// Bloom filters and walk the same chains. (plan_details is NOT compared
-// across engines: EXPLAIN ANALYZE annotates batch counts on the vectorized
-// side only.)
-class EngineEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+// The engine's correctness contract (DESIGN.md §6g). Every run must hold
+// the same rows as the independent nested-loop oracle (tests/oracle.h), and
+// at every thread count, in memory or with every operator forced onto the
+// Grace spill path, it must be byte-identical to the 1-thread run with the
+// same row/work charges, hash-probe, bloom-skip and batch meters.
+class OracleEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(EngineEquivalenceTest, RowAndVectorizedEnginesAreByteIdentical) {
+TEST_P(OracleEquivalenceTest, RunsMatchTheOracleAndTheSerialRun) {
   Rng rng(GetParam() * 52361 + 11);
 
   const std::size_t n = 2 + rng.Uniform(5);
@@ -232,48 +234,72 @@ TEST_P(EngineEquivalenceTest, RowAndVectorizedEnginesAreByteIdentical) {
   StatisticsRegistry registry;
   registry.AnalyzeAll(catalog);
   HybridOptimizer optimizer(&catalog, &registry);
-  if (!optimizer.Resolve(sql, TidMode::kNone).ok()) {
-    GTEST_SKIP() << "outside fragment";
-  }
+  auto rq = optimizer.Resolve(sql, TidMode::kNone);
+  if (!rq.ok()) GTEST_SKIP() << "outside fragment";
+  auto expected = oracle::Evaluate(*rq, catalog);
+  ASSERT_TRUE(expected.ok()) << expected.status().message();
 
   for (OptimizerMode mode :
        {OptimizerMode::kQhdHybrid, OptimizerMode::kDpStatistics,
         OptimizerMode::kYannakakis, OptimizerMode::kClassicHd}) {
-    for (std::size_t threads : {1, 2, 4}) {
-      RunOptions row_opts;
-      row_opts.mode = mode;
-      row_opts.tid_mode = TidMode::kNone;
-      row_opts.fallback_to_dp = true;
-      row_opts.num_threads = threads;
-      row_opts.use_vectorized = false;
-      RunOptions vec_opts = row_opts;
-      vec_opts.use_vectorized = true;
-      auto row_run = optimizer.Run(sql, row_opts);
-      auto vec_run = optimizer.Run(sql, vec_opts);
-      ASSERT_EQ(row_run.ok(), vec_run.ok())
-          << OptimizerModeName(mode) << " at " << threads
-          << " threads: engines disagree on success for\n"
-          << sql;
-      if (!row_run.ok()) continue;
-      EXPECT_TRUE(ByteIdentical(row_run->output, vec_run->output))
-          << OptimizerModeName(mode) << " at " << threads
-          << " threads diverges on\n"
-          << sql;
-      EXPECT_EQ(row_run->ctx.rows_charged.load(),
-                vec_run->ctx.rows_charged.load());
-      EXPECT_EQ(row_run->ctx.work_charged.load(),
-                vec_run->ctx.work_charged.load());
-      EXPECT_EQ(row_run->ctx.hash_probes.load(),
-                vec_run->ctx.hash_probes.load());
-      EXPECT_EQ(row_run->ctx.bloom_skips.load(),
-                vec_run->ctx.bloom_skips.load());
-      // The batch meter is what distinguishes the engines.
-      EXPECT_EQ(row_run->ctx.batches.load(), 0u);
+    for (bool spill : {false, true}) {
+      std::optional<QueryRun> serial;
+      bool serial_ok = false;
+      for (std::size_t threads : {1, 2, 4}) {
+        RunOptions options;
+        options.mode = mode;
+        options.tid_mode = TidMode::kNone;
+        options.fallback_to_dp = true;
+        options.num_threads = threads;
+        if (spill) {
+          // A zero-byte soft threshold: every operator with a non-empty
+          // working set spills, whatever else is live — so the spill
+          // decisions, and with them the meters, do not depend on how
+          // concurrent wave lanes interleave.
+          options.enable_spill = true;
+          options.memory_budget_bytes = 4u << 20;
+          options.soft_memory_fraction = 1e-9;
+        }
+        const std::string where_msg =
+            std::string(OptimizerModeName(mode)) + " at " +
+            std::to_string(threads) + " threads" + (spill ? ", spilled" : "");
+        auto run = optimizer.Run(sql, options);
+        if (threads == 1) serial_ok = run.ok();
+        // Whatever the serial run says (e.g. cyclic under Yannakakis), every
+        // thread count must say the same.
+        ASSERT_EQ(run.ok(), serial_ok)
+            << where_msg << ": "
+            << (run.ok() ? std::string("succeeds") : run.status().message());
+        if (!run.ok()) continue;
+        EXPECT_TRUE(run->output.SameRowsAs(*expected))
+            << where_msg << " disagrees with the oracle on\n"
+            << sql;
+        if (spill) {
+          EXPECT_GT(run->spill.spill_events, 0u) << where_msg;
+        }
+        if (!serial.has_value()) {
+          serial = std::move(run.value());
+          continue;
+        }
+        EXPECT_TRUE(ByteIdentical(serial->output, run->output))
+            << where_msg << " diverges from 1 thread on\n"
+            << sql;
+        EXPECT_EQ(serial->ctx.rows_charged.load(),
+                  run->ctx.rows_charged.load()) << where_msg;
+        EXPECT_EQ(serial->ctx.work_charged.load(),
+                  run->ctx.work_charged.load()) << where_msg;
+        EXPECT_EQ(serial->ctx.hash_probes.load(),
+                  run->ctx.hash_probes.load()) << where_msg;
+        EXPECT_EQ(serial->ctx.bloom_skips.load(),
+                  run->ctx.bloom_skips.load()) << where_msg;
+        EXPECT_EQ(serial->ctx.batches.load(), run->ctx.batches.load())
+            << where_msg;
+      }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomQueries, EngineEquivalenceTest,
+INSTANTIATE_TEST_SUITE_P(RandomQueries, OracleEquivalenceTest,
                          ::testing::Range<uint64_t>(0, 15));
 
 // --- Inputs big enough to take the partitioned kernels. ---------------------
@@ -385,31 +411,71 @@ TEST_F(ParallelKernelFixture, AggregatesUnderBagSemanticsMatch) {
 
 TEST_F(ParallelKernelFixture, AggregatesMatchRowEngineAtAnyThreadCount) {
   // GROUP BY exercises the vectorized aggregation path (KeyBlock group
-  // hashes + per-batch argument evaluation); output and charges must match
-  // the row engine's exactly, including float-sum accumulation order.
+  // hashes + per-batch argument evaluation). The reference is computed here
+  // row by row from the base relations, sharing no engine code; the output
+  // must match it, and the meters must match the serial run, at every
+  // thread count.
   const std::string sql =
       "SELECT r1.a AS k, count(*) AS n, sum(r3.b) AS s FROM r1, r2, r3 "
       "WHERE r1.b = r2.a AND r2.b = r3.a GROUP BY r1.a ORDER BY k";
+  // Per join key: (number of matching tails, sum of r3.b over them).
+  using Tally = std::map<int64_t, std::pair<int64_t, int64_t>>;
+  auto rel = [&](const char* name) {
+    auto r = catalog_.Get(name);
+    EXPECT_TRUE(r.ok()) << name;
+    return *r;
+  };
+  Tally by_r3a, by_r2a, groups;
+  const Relation* r3 = rel("r3");
+  for (std::size_t i = 0; i < r3->NumRows(); ++i) {
+    auto& t = by_r3a[r3->At(i, 0).AsInt64()];
+    t.first += 1;
+    t.second += r3->At(i, 1).AsInt64();
+  }
+  const Relation* r2 = rel("r2");
+  for (std::size_t i = 0; i < r2->NumRows(); ++i) {
+    auto it = by_r3a.find(r2->At(i, 1).AsInt64());
+    if (it == by_r3a.end()) continue;
+    auto& t = by_r2a[r2->At(i, 0).AsInt64()];
+    t.first += it->second.first;
+    t.second += it->second.second;
+  }
+  const Relation* r1 = rel("r1");
+  for (std::size_t i = 0; i < r1->NumRows(); ++i) {
+    auto it = by_r2a.find(r1->At(i, 1).AsInt64());
+    if (it == by_r2a.end()) continue;
+    auto& t = groups[r1->At(i, 0).AsInt64()];
+    t.first += it->second.first;
+    t.second += it->second.second;
+  }
+  ASSERT_FALSE(groups.empty());
+
   HybridOptimizer optimizer(&catalog_, &registry_);
-  RunOptions row_opts;
-  row_opts.mode = OptimizerMode::kQhdHybrid;
-  row_opts.tid_mode = TidMode::kAllAtoms;
-  row_opts.use_vectorized = false;
-  auto reference = optimizer.Run(sql, row_opts);
-  ASSERT_TRUE(reference.ok()) << reference.status().message();
-  for (std::size_t threads : {1, 2, 8}) {
-    RunOptions vec_opts = row_opts;
-    vec_opts.use_vectorized = true;
-    vec_opts.num_threads = threads;
-    auto run = optimizer.Run(sql, vec_opts);
+  RunOptions options;
+  options.mode = OptimizerMode::kQhdHybrid;
+  options.tid_mode = TidMode::kAllAtoms;
+  std::optional<QueryRun> serial;
+  for (std::size_t threads : kThreadSweep) {
+    options.num_threads = threads;
+    auto run = optimizer.Run(sql, options);
     ASSERT_TRUE(run.ok()) << run.status().message();
-    EXPECT_TRUE(ByteIdentical(reference->output, run->output))
-        << threads << " threads";
-    EXPECT_EQ(reference->ctx.rows_charged.load(),
-              run->ctx.rows_charged.load());
-    EXPECT_EQ(reference->ctx.work_charged.load(),
-              run->ctx.work_charged.load());
+    const Relation& out = run->output;
+    ASSERT_EQ(out.NumRows(), groups.size()) << threads << " threads";
+    std::size_t row = 0;
+    for (const auto& [k, t] : groups) {
+      EXPECT_EQ(out.At(row, 0), Value::Int64(k)) << threads << " threads";
+      EXPECT_EQ(out.At(row, 1), Value::Int64(t.first)) << "group " << k;
+      EXPECT_EQ(out.At(row, 2), Value::Int64(t.second)) << "group " << k;
+      ++row;
+    }
     EXPECT_GT(run->ctx.batches.load(), 0u);
+    if (!serial.has_value()) {
+      serial = std::move(run.value());
+      continue;
+    }
+    EXPECT_EQ(serial->ctx.rows_charged.load(), run->ctx.rows_charged.load());
+    EXPECT_EQ(serial->ctx.work_charged.load(), run->ctx.work_charged.load());
+    EXPECT_EQ(serial->ctx.batches.load(), run->ctx.batches.load());
   }
 }
 

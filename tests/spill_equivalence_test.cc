@@ -402,27 +402,6 @@ TEST_P(SpillEquivalenceTest, SpilledRunsAreByteIdenticalToInMemory) {
         EXPECT_GT(run->spill.partitions, 0u);
         EXPECT_GT(run->spill.bytes_written, 0u);
       }
-
-      // Row engine under the same forced-spill budget: identical bytes,
-      // identical charges, identical spill decisions (the batch partitioner
-      // writes the same rows to the same partitions).
-      RunOptions row_spill = spill;
-      row_spill.use_vectorized = false;
-      auto row_run = optimizer.Run(sql, row_spill);
-      ASSERT_TRUE(row_run.ok())
-          << OptimizerModeName(mode) << " row engine at " << threads
-          << " threads: " << row_run.status().message();
-      EXPECT_TRUE(ByteIdentical(reference->output, row_run->output))
-          << OptimizerModeName(mode) << " row-engine spill diverges at "
-          << threads << " threads on\n"
-          << sql;
-      EXPECT_EQ(row_run->ctx.rows_charged.load(),
-                run->ctx.rows_charged.load());
-      EXPECT_EQ(row_run->ctx.work_charged.load(),
-                run->ctx.work_charged.load());
-      EXPECT_EQ(row_run->spill.spill_events, run->spill.spill_events);
-      EXPECT_EQ(row_run->spill.partitions, run->spill.partitions);
-      EXPECT_EQ(row_run->spill.bytes_written, run->spill.bytes_written);
     }
 
     // Determinism of the serial spill path: identical meters on replay.

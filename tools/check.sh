@@ -9,12 +9,6 @@
 #   tools/check.sh --chaos  # ASan+UBSan build, then the chaos sweep and the
 #                           # spill/fault suites under injection: every fault
 #                           # site x {always, p=0.05} x {1, 4} threads
-#   tools/check.sh --vectorized
-#                           # batch-engine gate: the row-vs-vectorized
-#                           # equivalence suites under ASan+UBSan, then the
-#                           # paired operator microbenches on the plain
-#                           # build, emitting BENCH_vectorized.json and
-#                           # requiring >=3x geomean on scan/filter + join
 #   tools/check.sh --adaptive
 #                           # adaptive re-optimization gate: the feedback /
 #                           # replan / drift suites under ASan+UBSan, then
@@ -38,8 +32,8 @@
 #                           # SIGTERM-drain, and emit BENCH_server.json; then
 #                           # repeat the smoke + server/admission suites
 #                           # under ASan and TSan
-#   tools/check.sh --all    # plain + ASan + TSan + chaos + vectorized +
-#                           # adaptive + sharded + server
+#   tools/check.sh --all    # plain + ASan + TSan + chaos + adaptive +
+#                           # sharded + server
 #
 # The sanitized passes are what give the fault-injection sweep and the
 # parallel engine their teeth: an injected failure that leaks, touches
@@ -187,7 +181,6 @@ want_asan=false
 want_tsan=false
 want_chaos=false
 want_server=false
-want_vectorized=false
 want_adaptive=false
 want_sharded=false
 case "${1:-}" in
@@ -196,16 +189,15 @@ case "${1:-}" in
   --tsan) want_tsan=true ;;
   --chaos) want_chaos=true ;;
   --server) want_server=true ;;
-  --vectorized) want_vectorized=true ;;
   --adaptive) want_adaptive=true ;;
   --sharded) want_sharded=true ;;
   --all)
     want_asan=true; want_tsan=true; want_chaos=true; want_server=true
-    want_vectorized=true; want_adaptive=true; want_sharded=true
+    want_adaptive=true; want_sharded=true
     ;;
   *)
     echo "error: unknown flag '${1}' (expected --asan, --tsan, --chaos," \
-         "--server, --vectorized, --adaptive, --sharded, or --all)" >&2
+         "--server, --adaptive, --sharded, or --all)" >&2
     exit 2
     ;;
 esac
@@ -247,34 +239,6 @@ if $want_tsan; then
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
       -R 'Parallel|Threading|ThreadPool|Governor|ExecContext|Fault|Server|Admission|Shard'
-fi
-
-if $want_vectorized; then
-  # The batch engine's acceptance bar (DESIGN.md §6g): the row-vs-vectorized
-  # equivalence suites under ASan+UBSan — byte-identical output and meters
-  # with use_vectorized flipped, across thread counts and forced spill —
-  # then the paired microbenches on the optimized build, gating >=3x geomean
-  # on the scan/filter and hash-join kernels and emitting the full pair set
-  # (semijoin and distinct included) as BENCH_vectorized.json.
-  echo "==> vectorized equivalence sweep (ASan+UBSan)"
-  cmake -B build-asan -S . -DHTQO_SANITIZE=ON
-  require_sanitize build-asan ON
-  cmake --build build-asan -j"$(nproc)"
-  ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
-  UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1}" \
-    ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'Batch|Chunk|KeyBlock|NullBitmap|ElemHash|ExtractColumn|Engine|Equivalence'
-
-  echo "==> vectorized speedup gate"
-  cmake --build build -j"$(nproc)" --target bench_operators
-  ./build/bench/bench_operators \
-    --benchmark_filter='(ScanFilter|HashJoin|SemiJoin|Distinct)(Row|Vec)' \
-    --benchmark_format=json --benchmark_repetitions=3 \
-    > BENCH_vectorized.json
-  tools/compare_bench.py BENCH_vectorized.json \
-    --pair ScanFilterRow:ScanFilterVec \
-    --pair HashJoinRow:HashJoinVec \
-    --min-speedup 3
 fi
 
 if $want_adaptive; then

@@ -25,14 +25,11 @@ paths are rows of the same run — machine-speed differences cancel out:
   tools/compare_bench.py plan_cache.json --pair PlanCold:PlanWarm \\
       --min-speedup 5
 
---pair is repeatable; all matched pairs feed one combined geomean. CI's
-vectorized gate uses this to require the batch engine's speedup across
-scan/filter, hash join, semijoin and distinct in a single verdict:
+--pair is repeatable; all matched pairs feed one combined geomean, so a
+gate over several workloads passes or fails in a single verdict:
 
-  tools/compare_bench.py BENCH_vectorized.json \\
-      --pair ScanFilterRow:ScanFilterVec --pair HashJoinRow:HashJoinVec \\
-      --pair SemiJoinRow:SemiJoinVec --pair DistinctRow:DistinctVec \\
-      --min-speedup 3
+  tools/compare_bench.py BENCH_sharded.json \\
+      --pair Unsharded:ShardS1 --min-speedup 0.98
 
 --filter PREFIX restricts the two-file comparison to benchmarks whose
 name starts with PREFIX (e.g. only the PlanNoCache rows when checking the
@@ -79,8 +76,8 @@ def run_pair(times, pair_specs, min_speedup):
     """Within-file gate: rows BASE/<arg> vs CAND/<arg> of one result set.
 
     Accepts several BASE:CAND specs (repeated --pair flags); the verdict is
-    one geomean over every matched pair, so a multi-operator gate (e.g. the
-    row-vs-vectorized sweep) passes or fails as a whole.
+    one geomean over every matched pair, so a multi-pair gate passes or
+    fails as a whole.
     """
     pairs = []
     for pair in pair_specs:
