@@ -98,7 +98,8 @@ Result<QhdResult> Search(const PlanProblem& p, bool run_optimize) {
 Result<QhdResult> CachedPlan(const PlanProblem& p,
                              PlanCacheOutcome* outcome) {
   auto decomp = CachedQHypertreeDecomp(
-      p.h, p.out_vars, p.edge_labels, kMaxWidth, /*use_statistics=*/true,
+      p.h, p.out_vars, p.edge_labels, &p.stats, kMaxWidth,
+      /*use_statistics=*/true,
       /*governor=*/nullptr, /*tracer=*/nullptr,
       [&] { return Search(p, /*run_optimize=*/false); }, outcome);
   if (decomp.ok()) {

@@ -365,14 +365,11 @@ Result<QueryRun> HybridOptimizer::RunStatement(const SelectStatement& stmt,
     return RunResolved(*rq, options);
   }
 
-  // Materialize every derived table into a scratch database, then run the
-  // rewritten outer statement against it.
-  Catalog scratch;
-  for (const std::string& name : catalog_->Names()) {
-    scratch.Put(name, *catalog_->Find(name));
-  }
-  StatisticsRegistry scratch_stats;
-  if (stats_ != nullptr) scratch_stats = *stats_;
+  // Materialize every derived table into an overlay over the caller's
+  // database (base relations and their statistics are read through, never
+  // copied), then run the rewritten outer statement against it.
+  Catalog scratch(catalog_);
+  StatisticsRegistry scratch_stats(stats_);
 
   SelectStatement rewritten = stmt.Clone();
   QueryRun accumulated;
@@ -763,8 +760,8 @@ Result<QueryRun> HybridOptimizer::RunResolved(const ResolvedQuery& rq,
         search_opt.run_optimize = false;
         PlanCacheOutcome cache_outcome;
         decomp = CachedQHypertreeDecomp(
-            h, out_vars, edge_labels, width, use_statistics, gov, tracer,
-            [&] { return run_search(search_opt); }, &cache_outcome);
+            h, out_vars, edge_labels, stats_, width, use_statistics, gov,
+            tracer, [&] { return run_search(search_opt); }, &cache_outcome);
         run.plan_cache = cache_outcome.ToString();
         attempt_span->Attr("plan_cache", run.plan_cache);
         if (decomp.ok() && run_optimize) {
@@ -1068,11 +1065,8 @@ Result<RewrittenQuery> HybridOptimizer::RewriteQuery(
 Result<Relation> ExecuteRewrittenQuery(const RewrittenQuery& rewritten,
                                        const Catalog& base,
                                        ExecContext* ctx) {
-  // Scratch catalog: base relations plus materialized views.
-  Catalog scratch;
-  for (const std::string& name : base.Names()) {
-    scratch.Put(name, *base.Find(name));
-  }
+  // Materialized views live in an overlay over the base relations.
+  Catalog scratch(&base);
 
   RunOptions options;
   options.mode = OptimizerMode::kDpStatistics;  // any engine would do

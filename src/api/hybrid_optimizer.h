@@ -82,7 +82,12 @@ struct RunOptions {
   // attempt (reproducible across machines — tests should prefer this over
   // the deadline).
   std::size_t search_node_budget = std::numeric_limits<std::size_t>::max();
-  // Live-memory budget for decomposition memo tables.
+  // Live-memory budget. It counts what is charged to the governor: the
+  // decomposition searches' memo tables and the operators' working sets
+  // (ScopedTableMemory: hash-join/semijoin builds, distinct and
+  // aggregation tables, loaded spill partitions). Materialized
+  // intermediate relations only reach the NotePeakMemory high-water mark
+  // and never trip it; row_budget bounds them. DESIGN.md §6a/§6c.
   std::size_t memory_budget_bytes = std::numeric_limits<std::size_t>::max();
   // When a governor limit trips, walk the degradation ladder — q-HD at
   // width k → k-1 → … → 1 → DP plan → GEQO plan — instead of failing with

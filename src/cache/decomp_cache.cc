@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "stats/statistics.h"
@@ -18,7 +19,8 @@ namespace {
 // budget.
 std::size_t EstimateEntryBytes(const DecompCache::Entry& entry,
                                const PlanCacheKey& key) {
-  std::size_t bytes = sizeof(DecompCache::Entry) + key.certificate.size();
+  std::size_t bytes = sizeof(DecompCache::Entry) + key.certificate.size() +
+                      entry.no_decomposition.message().size();
   const std::size_t chi_words = (entry.num_vertices + 63) / 64;
   const std::size_t lambda_words = (entry.num_edges + 63) / 64;
   for (std::size_t i = 0; i < entry.canon_hd.NumNodes(); ++i) {
@@ -270,7 +272,8 @@ Hypertree MapHypertree(const Hypertree& in,
 
 Result<QhdResult> CachedQHypertreeDecomp(
     const Hypergraph& h, const Bitset& out_vars,
-    const std::vector<std::string>& edge_labels, std::size_t max_width,
+    const std::vector<std::string>& edge_labels,
+    const StatisticsRegistry* stats, std::size_t max_width,
     bool use_statistics, ResourceGovernor* governor, Tracer* tracer,
     const std::function<Result<QhdResult>()>& compute,
     PlanCacheOutcome* outcome) {
@@ -278,11 +281,34 @@ Result<QhdResult> CachedQHypertreeDecomp(
   DecompCache& cache = DecompCache::Global();
   const auto warm_start = std::chrono::steady_clock::now();
 
+  // Relations local to a statistics overlay (derived tables) exist only in
+  // this statement's overlay, so a process-wide epoch cannot track them.
+  // Their certificate label carries a fingerprint of their statistics
+  // instead: a re-run with equal derived stats finds its entry, and other
+  // bindings get entries of their own rather than evicting each other as
+  // stale under one key. A fingerprint collision can only rebind another
+  // valid decomposition of this same hypergraph (the certificate still
+  // pins the shape), so it may cost plan quality, never a wrong answer.
+  std::vector<std::string> labels = edge_labels;
+  std::map<std::string, uint64_t> epoch_by_name;
+  for (std::string& label : labels) {
+    std::optional<uint64_t> fp;
+    if (stats != nullptr) fp = stats->OverlayFingerprint(label);
+    if (!fp.has_value()) {
+      epoch_by_name.emplace(label, 0);
+      continue;
+    }
+    char buf[20];
+    std::snprintf(buf, sizeof(buf), "#%016llx",
+                  static_cast<unsigned long long>(*fp));
+    label += buf;
+  }
+
   CanonicalForm form;
   PlanCacheKey key;
   {
     ScopedSpan span(tracer, "cache.lookup");
-    form = CanonicalizeHypergraph(h, out_vars, edge_labels);
+    form = CanonicalizeHypergraph(h, out_vars, labels);
     // The certificate covers everything a reusable search result depends
     // on: the canonical labeled hypergraph + out-set, the width bound, and
     // the cost-model flavor (not run_optimize — entries are pre-Optimize).
@@ -296,15 +322,11 @@ Result<QhdResult> CachedQHypertreeDecomp(
 
   // Epoch snapshot, taken *before* the search: a stats update racing the
   // compute leaves the entry already-stale, which errs toward recompute.
-  std::vector<std::pair<std::string, uint64_t>> epochs;
-  {
-    std::map<std::string, uint64_t> by_name;
-    for (const std::string& rel : edge_labels) by_name.emplace(rel, 0);
-    for (auto& [name, epoch] : by_name) {
-      epoch = StatsEpochRegistry::Global().Get(name);
-    }
-    epochs.assign(by_name.begin(), by_name.end());
+  for (auto& [name, epoch] : epoch_by_name) {
+    epoch = StatsEpochRegistry::Global().Get(name);
   }
+  std::vector<std::pair<std::string, uint64_t>> epochs(epoch_by_name.begin(),
+                                                       epoch_by_name.end());
   auto fresh = [&](const DecompCache::Entry& e) {
     return e.num_vertices == h.NumVertices() &&
            e.num_edges == h.NumEdges() && e.epochs == epochs;
@@ -319,6 +341,9 @@ Result<QhdResult> CachedQHypertreeDecomp(
     case DecompCache::AcquireKind::kHit:
     case DecompCache::AcquireKind::kShared: {
       outcome->hit = true;
+      if (!acq.entry->no_decomposition.ok()) {
+        return acq.entry->no_decomposition;
+      }
       ScopedSpan span(tracer, "cache.rebind");
       span.Attr("nodes", acq.entry->canon_hd.NumNodes());
       if (governor != nullptr) {
@@ -338,15 +363,26 @@ Result<QhdResult> CachedQHypertreeDecomp(
     }
     case DecompCache::AcquireKind::kOwner: {
       Result<QhdResult> computed = compute();
-      if (!computed.ok()) {
+      // "No decomposition of width <= k" is as reusable as a decomposition;
+      // a governor trip (or any other failure) says nothing about the
+      // hypergraph and is never retained.
+      const bool negative =
+          !computed.ok() &&
+          computed.status().code() == StatusCode::kNotFound &&
+          (governor == nullptr || !governor->exhausted());
+      if (!computed.ok() && !negative) {
         cache.Publish(key, nullptr);
         return computed;
       }
       auto entry = std::make_shared<DecompCache::Entry>();
-      entry->canon_hd =
-          MapHypertree(computed->hd, form.vertex_to_canon, form.edge_to_canon,
-                       h.NumVertices(), h.NumEdges());
-      entry->width = computed->width;
+      if (negative) {
+        entry->no_decomposition = computed.status();
+      } else {
+        entry->canon_hd = MapHypertree(computed->hd, form.vertex_to_canon,
+                                       form.edge_to_canon, h.NumVertices(),
+                                       h.NumEdges());
+        entry->width = computed->width;
+      }
       entry->num_vertices = h.NumVertices();
       entry->num_edges = h.NumEdges();
       entry->epochs = std::move(epochs);

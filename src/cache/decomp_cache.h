@@ -18,9 +18,15 @@
 //     condition variable (governor-checkpointed, so a deadline still fires
 //     mid-wait) and share the published entry;
 //   * invalidated by statistics epochs: each entry snapshots the
-//     StatsEpochRegistry epoch of every referenced relation at compute
-//     time; any later ANALYZE/Put/Clear makes the entry stale and the next
-//     lookup transparently recomputes;
+//     StatsEpochRegistry epoch of every referenced root-registry relation
+//     at compute time; any later ANALYZE/Put/Clear makes the entry stale
+//     and the next lookup transparently recomputes. Relations local to a
+//     statistics overlay (derived tables) carry a fingerprint of their
+//     statistics in their certificate edge label instead, so a re-run of
+//     the same nested statement finds its own entry;
+//   * negative entries: a search that finds no decomposition of width <= k
+//     (kNotFound) is cached like a found one, because existence is a
+//     property of the hypergraph; a governor trip is never cached;
 //   * fault site `cache.insert`: an injected failure drops the retain —
 //     the computing query still returns its fresh decomposition, the cache
 //     just behaves as if the entry were never stored.
@@ -50,6 +56,7 @@
 #include "hypergraph/canonical.h"
 #include "hypergraph/hypergraph.h"
 #include "obs/trace.h"
+#include "stats/statistics.h"
 #include "util/bitset.h"
 #include "util/governor.h"
 #include "util/status.h"
@@ -78,6 +85,9 @@ class DecompCache {
     // Lowercased relation name -> StatsEpochRegistry epoch at compute time,
     // sorted by name (vector equality is the freshness test).
     std::vector<std::pair<std::string, uint64_t>> epochs;
+    // Negative entry: the search's kNotFound status, returned verbatim on a
+    // hit (canon_hd is then empty). OK for a found decomposition.
+    Status no_decomposition;
     std::size_t bytes = 0;  // approximate footprint, filled on insert
   };
   using EntryPtr = std::shared_ptr<const Entry>;
@@ -188,15 +198,22 @@ struct PlanCacheOutcome {
 //
 // `edge_labels` holds one lowercased relation name per hyperedge (atom
 // order); it feeds both the canonical certificate and the epoch snapshot.
+// `stats` (nullptr allowed) is the registry the search estimates from: a
+// relation it resolves in an overlay (StatisticsRegistry::
+// OverlayFingerprint) has that fingerprint folded into its edge label and
+// is left out of the epoch snapshot.
 // `compute` must run the decomposition search *without* Procedure Optimize
 // (the cache stores pre-Optimize trees; the caller re-runs Optimize on the
 // rebound result each time, keeping kQhdNoOptimize and kQhdHybrid on one
 // entry). On a hit the entry is rebound through the canonical relabeling to
 // the caller's vertex/edge numbering, with the governor charged one search
-// node per rebound tree node so rebind work stays bounded.
+// node per rebound tree node so rebind work stays bounded. A kNotFound from
+// `compute` is published as a negative entry (unless the governor is
+// exhausted) and returned again, unchanged, on later hits.
 Result<QhdResult> CachedQHypertreeDecomp(
     const Hypergraph& h, const Bitset& out_vars,
-    const std::vector<std::string>& edge_labels, std::size_t max_width,
+    const std::vector<std::string>& edge_labels,
+    const StatisticsRegistry* stats, std::size_t max_width,
     bool use_statistics, ResourceGovernor* governor, Tracer* tracer,
     const std::function<Result<QhdResult>()>& compute,
     PlanCacheOutcome* outcome);

@@ -531,19 +531,20 @@ struct TaggedRows {
 };
 
 // Hash-partitions `rel` on `cols` into the manager's fanout, writing each
-// row with its tag from `tags` (parallel to rows). Key hashes are computed
-// per batch through the columnar extractor (one batch of key columns
-// resident at a time — this path runs under memory pressure), and one work
-// unit per row, charged per batch, covers the encode+write.
+// row with its tag from `tags` (parallel to rows), or untagged runs when
+// `tags` is nullptr. Key hashes are computed per batch through the columnar
+// extractor (one batch of key columns resident at a time — this path runs
+// under memory pressure), and one work unit per row, charged per batch,
+// covers the encode+write.
 Result<std::vector<std::unique_ptr<SpillFile>>> PartitionToSpill(
     const Relation& rel, const std::vector<std::size_t>& cols,
-    const std::vector<uint64_t>& tags, std::size_t depth, ExecContext* ctx) {
+    const std::vector<uint64_t>* tags, std::size_t depth, ExecContext* ctx) {
   HTQO_CHECK(!cols.empty());
   const std::size_t fanout = ctx->spill->options().fanout;
   std::vector<std::unique_ptr<SpillFile>> parts;
   parts.reserve(fanout);
   for (std::size_t i = 0; i < fanout; ++i) {
-    auto file = ctx->spill->Create();
+    auto file = ctx->spill->Create(/*tagged=*/tags != nullptr);
     if (!file.ok()) return file.status();
     parts.push_back(std::move(*file));
   }
@@ -554,7 +555,8 @@ Result<std::vector<std::unique_ptr<SpillFile>>> PartitionToSpill(
     KeyBlock keys = BuildKeyBlock(rel, cols, lo, hi - lo);
     for (std::size_t r = lo; r < hi; ++r) {
       std::size_t p = SpillPartitionOf(keys.hashes[r - lo], depth, fanout);
-      Status s = parts[p]->Append(tags[r], rel.Row(r));
+      Status s = tags != nullptr ? parts[p]->Append((*tags)[r], rel.Row(r))
+                                 : parts[p]->Append(rel.Row(r));
       if (!s.ok()) return s;
     }
     ctx->batches.fetch_add(1, std::memory_order_relaxed);
@@ -578,7 +580,8 @@ using PairKernel = std::function<Status(
     const Relation&, const Relation&, const std::vector<uint64_t>&)>;
 
 // Recursive Grace driver of the hash join and the semijoin: partitions
-// build and probe on their key columns, then drains partition pairs
+// build and probe on their key columns (build runs untagged: only the
+// probe side's order is merged back), then drains partition pairs
 // serially, repartitioning a pair while it still exceeds the soft threshold
 // and the depth cap allows. At the cap `kernel` runs in memory regardless
 // (correctness over the threshold; all-equal keys cannot be split).
@@ -588,10 +591,9 @@ Status GracePairs(const Relation& build, const Relation& probe,
                   const std::vector<std::size_t>& pcols, std::size_t depth,
                   ExecContext* ctx, const PairKernel& kernel) {
   ctx->spill->NoteRecursionDepth(depth + 1);
-  auto bparts = PartitionToSpill(build, bcols, IdentityTags(build.NumRows()),
-                                 depth, ctx);
+  auto bparts = PartitionToSpill(build, bcols, nullptr, depth, ctx);
   if (!bparts.ok()) return bparts.status();
-  auto pparts = PartitionToSpill(probe, pcols, probe_tags, depth, ctx);
+  auto pparts = PartitionToSpill(probe, pcols, &probe_tags, depth, ctx);
   if (!pparts.ok()) return pparts.status();
   const std::size_t max_depth = ctx->spill->options().max_recursion_depth;
   for (std::size_t i = 0; i < bparts->size(); ++i) {
@@ -602,8 +604,8 @@ Status GracePairs(const Relation& build, const Relation& probe,
     part_span.Attr("index", i);
     Relation bpart{build.schema()};
     Relation ppart{probe.schema()};
-    std::vector<uint64_t> btags, ptags;
-    Status rs = (*bparts)[i]->ReadBack(&bpart, &btags);
+    std::vector<uint64_t> ptags;
+    Status rs = (*bparts)[i]->ReadBack(&bpart, nullptr);
     if (!rs.ok()) return rs;
     rs = (*pparts)[i]->ReadBack(&ppart, &ptags);
     if (!rs.ok()) return rs;
@@ -765,7 +767,7 @@ Result<Relation> SpillableDistinct(const Relation& rel, ExecContext* ctx) {
       recurse = [&](const Relation& in, const std::vector<uint64_t>& tags,
                     std::size_t depth) -> Status {
     ctx->spill->NoteRecursionDepth(depth + 1);
-    auto parts = PartitionToSpill(in, all_cols, tags, depth, ctx);
+    auto parts = PartitionToSpill(in, all_cols, &tags, depth, ctx);
     if (!parts.ok()) return parts.status();
     for (std::size_t i = 0; i < fanout; ++i) {
       ScopedSpan part_span(ctx->tracer, "spill.partition");

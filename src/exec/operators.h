@@ -163,8 +163,11 @@ struct ExecContext {
   }
   // Relation-aware overload: reports the real footprint — tuple store plus
   // interned-string payload bytes (each distinct string counted once) — so
-  // governor memory budgets reflect string-heavy relations, not just their
-  // 16-byte handles. The row-count high-water mark is unchanged.
+  // the governor's peak-memory high-water mark reflects string-heavy
+  // relations, not just their 16-byte handles. Like the row overload it
+  // only records a peak: materialized relations never count against
+  // memory_budget_bytes (row_budget bounds them). The row-count
+  // high-water mark is unchanged.
   void NotePeak(const Relation& rel) {
     AtomicMax(&peak_rows, rel.NumRows());
     if (governor != nullptr) {

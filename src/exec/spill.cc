@@ -100,7 +100,7 @@ Status SpillManager::ChargeDisk(std::size_t bytes) {
   return Status::Ok();
 }
 
-Result<std::unique_ptr<SpillFile>> SpillManager::Create() {
+Result<std::unique_ptr<SpillFile>> SpillManager::Create(bool tagged) {
   std::string path;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -139,7 +139,8 @@ Result<std::unique_ptr<SpillFile>> SpillManager::Create() {
       continue;
     }
     partitions_.fetch_add(1, std::memory_order_relaxed);
-    return std::unique_ptr<SpillFile>(new SpillFile(this, std::move(path), f));
+    return std::unique_ptr<SpillFile>(
+        new SpillFile(this, std::move(path), f, tagged));
   }
   return Status::ResourceExhausted(
       "spill: cannot open partition file after " +
@@ -152,8 +153,18 @@ SpillFile::~SpillFile() {
 }
 
 Status SpillFile::Append(uint64_t tag, std::span<const Value> row) {
-  HTQO_DCHECK(!finished_);
+  HTQO_DCHECK(tagged_);
   buffer_.append(reinterpret_cast<const char*>(&tag), sizeof(tag));
+  return AppendRow(row);
+}
+
+Status SpillFile::Append(std::span<const Value> row) {
+  HTQO_DCHECK(!tagged_);
+  return AppendRow(row);
+}
+
+Status SpillFile::AppendRow(std::span<const Value> row) {
+  HTQO_DCHECK(!finished_);
   for (const Value& v : row) EncodeValue(v, &buffer_);
   ++rows_;
   if (buffer_.size() >= manager_->options().write_buffer_bytes) {
@@ -220,6 +231,7 @@ Status SpillFile::Finish() {
 
 Status SpillFile::ReadBack(Relation* out, std::vector<uint64_t>* tags) {
   HTQO_DCHECK(finished_);
+  HTQO_CHECK(tagged_ == (tags != nullptr));
   FaultInjector& injector = FaultInjector::Instance();
   const std::size_t retry_limit = manager_->options().retry_limit;
   std::string raw;
@@ -267,23 +279,25 @@ Status SpillFile::ReadBack(Relation* out, std::vector<uint64_t>* tags) {
   const std::size_t arity = out->arity();
   Status alloc = out->TryReserve(rows_);
   if (!alloc.ok()) return alloc;
-  tags->reserve(tags->size() + rows_);
+  if (tagged_) tags->reserve(tags->size() + rows_);
   const char* cursor = payload.data();
   const char* end = payload.data() + payload.size();
   std::vector<Value> row(arity);
   for (std::size_t r = 0; r < rows_; ++r) {
-    uint64_t tag;
-    if (end - cursor < static_cast<std::ptrdiff_t>(sizeof(tag))) {
-      return Status::Internal("spill: truncated partition file " + path_);
+    if (tagged_) {
+      uint64_t tag;
+      if (end - cursor < static_cast<std::ptrdiff_t>(sizeof(tag))) {
+        return Status::Internal("spill: truncated partition file " + path_);
+      }
+      std::memcpy(&tag, cursor, sizeof(tag));
+      cursor += sizeof(tag);
+      tags->push_back(tag);
     }
-    std::memcpy(&tag, cursor, sizeof(tag));
-    cursor += sizeof(tag);
     for (std::size_t c = 0; c < arity; ++c) {
       if (!DecodeValue(&cursor, end, &row[c])) {
         return Status::Internal("spill: corrupt partition file " + path_);
       }
     }
-    tags->push_back(tag);
     out->AddRow(row);
   }
   return Status::Ok();

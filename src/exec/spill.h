@@ -5,10 +5,11 @@
 // operators.cc switch to Grace-style recursive partitioning: both inputs are
 // hash-partitioned into temp files owned by a SpillManager, then partition
 // pairs are processed one at a time so only a fanout-th of the data is
-// resident. Each spilled row carries a 64-bit tag (its original row index on
-// the probe side); per-partition outputs are merged back in tag order, which
+// resident. Each probe-side row carries a 64-bit tag (its original row
+// index); per-partition outputs are merged back in tag order, which
 // reproduces the serial in-memory emission order exactly — the spill path is
-// byte-identical to the in-memory path (see DESIGN.md §6c).
+// byte-identical to the in-memory path (see DESIGN.md §6c). Build-side runs,
+// whose order nothing reads, are written untagged.
 //
 // Fault sites: spill.open (temp-file creation), spill.write (buffer flush),
 // spill.read (reading a partition back). Every site is wrapped in a bounded
@@ -96,8 +97,9 @@ struct SpillCounters {
 
 class SpillManager;
 
-// One spilled run: tagged rows of a fixed arity, written once then read
-// back once. The file is unlinked on destruction.
+// One spilled run: rows of a fixed arity, each with a 64-bit tag unless the
+// run was created untagged, written once then read back once. The file is
+// unlinked on destruction.
 class SpillFile {
  public:
   ~SpillFile();
@@ -106,8 +108,10 @@ class SpillFile {
 
   // Buffers one row; flushes through the spill.write site when the buffer
   // fills. Flush failure (after retries) or a disk-budget overrun surfaces
-  // here as kResourceExhausted.
+  // here as kResourceExhausted. The tagged form is for tagged runs, the
+  // untagged one for untagged runs.
   Status Append(uint64_t tag, std::span<const Value> row);
+  Status Append(std::span<const Value> row);
 
   // Flushes the tail buffer; must be called once before ReadBack.
   Status Finish();
@@ -119,21 +123,26 @@ class SpillFile {
   // On-disk location; exposed so corruption tests can flip bits in place.
   const std::string& path() const { return path_; }
 
-  // Decodes the whole run into `out` (whose schema fixes the arity) and the
-  // parallel tag vector, through the spill.read site with bounded retry.
+  // Decodes the whole run into `out` (whose schema fixes the arity) and,
+  // for a tagged run, the parallel tag vector (`tags` is nullptr for an
+  // untagged run), through the spill.read site with bounded retry.
   // Persistent page-checksum mismatches surface as kDataLoss.
   Status ReadBack(Relation* out, std::vector<uint64_t>* tags);
 
  private:
   friend class SpillManager;
-  SpillFile(SpillManager* manager, std::string path, std::FILE* file)
-      : manager_(manager), path_(std::move(path)), file_(file) {}
+  SpillFile(SpillManager* manager, std::string path, std::FILE* file,
+            bool tagged)
+      : manager_(manager), path_(std::move(path)), file_(file),
+        tagged_(tagged) {}
 
+  Status AppendRow(std::span<const Value> row);
   Status Flush();
 
   SpillManager* manager_;
   std::string path_;
   std::FILE* file_;
+  const bool tagged_;
   std::string buffer_;
   std::size_t rows_ = 0;
   std::size_t bytes_ = 0;  // flushed bytes
@@ -150,8 +159,9 @@ class SpillManager {
   const SpillOptions& options() const { return options_; }
   SpillCounters counters() const;
 
-  // Creates a fresh temp file (fault site spill.open, bounded retry).
-  Result<std::unique_ptr<SpillFile>> Create();
+  // Creates a fresh temp file (fault site spill.open, bounded retry) for a
+  // tagged or an untagged run.
+  Result<std::unique_ptr<SpillFile>> Create(bool tagged = true);
 
   // Called once per operator that activates the spill path.
   void NoteSpillEvent() {

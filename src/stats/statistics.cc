@@ -75,17 +75,51 @@ void StatsEpochRegistry::Bump(const std::string& relation_name) {
   ++epochs_[ToLower(relation_name)];
 }
 
+namespace {
+
+// SplitMix64 finalizer over an accumulator: order-sensitive combination of
+// the fields below, each of which is itself independent of row order.
+uint64_t MixIn(uint64_t h, uint64_t x) {
+  uint64_t z = h ^ (x + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+uint64_t MixValue(uint64_t h, const Value& v) {
+  return MixIn(MixIn(h, static_cast<uint64_t>(v.type())), v.Hash());
+}
+
+}  // namespace
+
+uint64_t StatsFingerprint(const RelationStats& stats) {
+  uint64_t h = MixIn(0, stats.row_count);
+  h = MixIn(h, stats.columns.size());
+  for (const ColumnStats& c : stats.columns) {
+    h = MixIn(h, c.distinct_count);
+    h = MixIn(h, c.min.has_value());
+    if (c.min) h = MixValue(h, *c.min);
+    h = MixIn(h, c.max.has_value());
+    if (c.max) h = MixValue(h, *c.max);
+    h = MixIn(h, c.histogram_bounds.size());
+    for (const Value& v : c.histogram_bounds) h = MixValue(h, v);
+  }
+  return h;
+}
+
 void StatisticsRegistry::Put(const std::string& relation_name,
                              RelationStats stats) {
   stats_[ToLower(relation_name)] = std::move(stats);
-  StatsEpochRegistry::Global().Bump(relation_name);
+  if (!overlay_) StatsEpochRegistry::Global().Bump(relation_name);
 }
 
 void StatisticsRegistry::Clear() {
   // Dropping statistics changes what the estimator will say just as much as
   // replacing them does: bump every relation this registry was covering.
-  for (const auto& [name, stats] : stats_) {
-    StatsEpochRegistry::Global().Bump(name);
+  if (!overlay_) {
+    for (const auto& [name, stats] : stats_) {
+      StatsEpochRegistry::Global().Bump(name);
+    }
   }
   stats_.clear();
 }
@@ -93,8 +127,19 @@ void StatisticsRegistry::Clear() {
 const RelationStats* StatisticsRegistry::Find(
     const std::string& relation_name) const {
   auto it = stats_.find(ToLower(relation_name));
-  if (it == stats_.end()) return nullptr;
-  return &it->second;
+  if (it != stats_.end()) return &it->second;
+  return parent_ == nullptr ? nullptr : parent_->Find(relation_name);
+}
+
+std::optional<uint64_t> StatisticsRegistry::OverlayFingerprint(
+    const std::string& relation_name) const {
+  auto it = stats_.find(ToLower(relation_name));
+  if (it != stats_.end()) {
+    if (!overlay_) return std::nullopt;
+    return StatsFingerprint(it->second);
+  }
+  return parent_ == nullptr ? std::nullopt
+                            : parent_->OverlayFingerprint(relation_name);
 }
 
 void StatisticsRegistry::AnalyzeAll(const Catalog& catalog) {

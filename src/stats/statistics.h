@@ -49,12 +49,13 @@ RelationStats MakeManualStats(std::size_t row_count,
                               const std::vector<std::size_t>& distinct_counts);
 
 // Process-wide per-relation statistics epochs, keyed by lowercased relation
-// name. Every StatisticsRegistry::Put/Clear bumps the touched relations'
-// epochs; the decomposition cache snapshots them at compute time and treats
-// any later bump as invalidation. The registry is deliberately global (not
-// per-StatisticsRegistry): several registries naming the same relation are
-// indistinguishable to a process-wide plan cache, so invalidation must be
-// conservative across all of them. A never-touched relation reads epoch 0.
+// name. Every Put/Clear on a root (non-overlay) StatisticsRegistry bumps
+// the touched relations' epochs; the decomposition cache snapshots them at
+// compute time and treats any later bump as invalidation. The registry is
+// deliberately global (not per-StatisticsRegistry): several registries
+// naming the same relation are indistinguishable to a process-wide plan
+// cache, so invalidation must be conservative across all of them. A
+// never-touched relation reads epoch 0.
 class StatsEpochRegistry {
  public:
   static StatsEpochRegistry& Global();
@@ -71,21 +72,51 @@ class StatsEpochRegistry {
   std::map<std::string, uint64_t> epochs_;
 };
 
+// 64-bit fingerprint of a RelationStats: row count, and per column the
+// distinct count, min, max and histogram bounds. CollectStats derives all of
+// them independently of row order, so a re-materialized derived table gets
+// the same fingerprint. The plan cache keys overlay-local relations on it
+// (DESIGN.md §6e).
+uint64_t StatsFingerprint(const RelationStats& stats);
+
 // Statistics registry for a database; mirrors pg_statistic. Lookup failures
 // mean "no statistics gathered yet" and estimators fall back to defaults.
 class StatisticsRegistry {
  public:
+  StatisticsRegistry() = default;
+
+  // An overlay over `parent` (nullptr allowed), like Catalog's: Find falls
+  // back to the parent for names not Put here, and nothing is copied. The
+  // parent must outlive the overlay and not change while it is in use.
+  // Relations Put into an overlay exist only there, so their Put/Clear do
+  // not bump the process-wide StatsEpochRegistry; the plan cache keys them
+  // on StatsFingerprint instead (OverlayFingerprint).
+  explicit StatisticsRegistry(const StatisticsRegistry* parent)
+      : parent_(parent), overlay_(true) {}
+
   void Put(const std::string& relation_name, RelationStats stats);
 
   const RelationStats* Find(const std::string& relation_name) const;
 
+  // StatsFingerprint of `relation_name`'s statistics when the registry that
+  // resolves the name (this one or the nearest ancestor holding it) is an
+  // overlay; nullopt for root-registry relations, which the epochs track,
+  // and for unknown names.
+  std::optional<uint64_t> OverlayFingerprint(
+      const std::string& relation_name) const;
+
   // Scans every relation in `catalog` (the ANALYZE command).
   void AnalyzeAll(const Catalog& catalog);
 
+  // Drops this registry's own entries (never the parent's).
   void Clear();
-  bool empty() const { return stats_.empty(); }
+  bool empty() const {
+    return stats_.empty() && (parent_ == nullptr || parent_->empty());
+  }
 
  private:
+  const StatisticsRegistry* parent_ = nullptr;
+  bool overlay_ = false;
   std::map<std::string, RelationStats> stats_;
 };
 

@@ -1,6 +1,7 @@
 // Decomposition & plan cache (DESIGN.md §6e): isomorphic query templates
 // share one entry, cached runs are byte-identical to uncached ones at any
-// thread count, statistics epochs invalidate, concurrent misses compute
+// thread count, statistics epochs invalidate, nested statements re-use
+// their plans, "no decomposition" is cached too, concurrent misses compute
 // once, and an injected insert fault degrades to a miss — never a wrong
 // answer.
 
@@ -19,6 +20,8 @@
 #include "util/fault_injector.h"
 #include "workload/query_gen.h"
 #include "workload/synthetic.h"
+#include "workload/tpch_gen.h"
+#include "workload/tpch_queries.h"
 
 namespace htqo {
 namespace {
@@ -180,6 +183,121 @@ TEST_F(PlanCacheTest, StatsEpochBumpInvalidates) {
   DecompCache::Stats d = Delta();
   EXPECT_EQ(d.stale, 1u);
   EXPECT_EQ(d.misses, 2u);  // the cold miss + the stale recompute
+}
+
+TEST_F(PlanCacheTest, NestedStatementRerunHitsTheCache) {
+  // Nested Q8: the derived table lives in a per-statement overlay, so its
+  // statistics never move a process-wide epoch, and the outer plan is keyed
+  // on the derived table's stats content. The kAllAtoms sub-run finds no
+  // width-4 decomposition and falls back to DP (a negative entry).
+  PopulateTpch(TpchConfig{0.002, 7}, &catalog_);
+  registry_.AnalyzeAll(catalog_);
+  HybridOptimizer optimizer(&catalog_, &registry_);
+  RunOptions options;
+  options.mode = OptimizerMode::kQhdHybrid;
+  options.use_plan_cache = true;
+  auto run = [&](const std::string& sql) {
+    auto r = optimizer.Run(sql, options);
+    EXPECT_TRUE(r.ok()) << r.status().message();
+    return std::move(r.value());
+  };
+  auto uncached = [&](const std::string& sql) {
+    RunOptions plain = options;
+    plain.use_plan_cache = false;
+    auto r = optimizer.Run(sql, plain);
+    EXPECT_TRUE(r.ok()) << r.status().message();
+    return std::move(r.value());
+  };
+
+  const std::string first_sql = TpchQ8Nested();
+  const QueryRun cold = run(first_sql);
+  const DecompCache::Stats after_cold = Delta();
+  const QueryRun warm = run(first_sql);
+  const DecompCache::Stats after_warm = Delta();
+  EXPECT_EQ(warm.plan_cache, "hit");
+  EXPECT_EQ(after_warm.misses, after_cold.misses);
+  EXPECT_EQ(after_warm.stale, after_cold.stale);
+  EXPECT_EQ(after_warm.stale, 0u);
+  EXPECT_EQ(after_warm.hits, after_cold.hits + 2)
+      << "the outer lookup and the inner kAllAtoms lookup both hit";
+  const QueryRun reference = uncached(first_sql);
+  for (const QueryRun* r : {&cold, &warm}) {
+    EXPECT_TRUE(ByteIdentical(reference.output, r->output));
+    EXPECT_EQ(reference.plan_description, r->plan_description);
+    EXPECT_EQ(reference.plan_details, r->plan_details);
+    EXPECT_EQ(reference.degradations, r->degradations);
+  }
+
+  // Another binding: same shapes, different derived-table statistics. Its
+  // inner sub-run shares the first binding's negative entry; its outer
+  // plan gets an entry of its own (one miss), which the re-run then hits,
+  // and the first binding's entry is not evicted as stale.
+  const std::string second_sql =
+      TpchQ8Nested("AMERICA", "STANDARD ANODIZED BRASS");
+  const QueryRun second_cold = run(second_sql);
+  const DecompCache::Stats after_second = Delta();
+  EXPECT_EQ(second_cold.plan_cache, "miss");
+  EXPECT_EQ(after_second.misses, after_warm.misses + 1);
+  const QueryRun second_warm = run(second_sql);
+  EXPECT_EQ(second_warm.plan_cache, "hit");
+  EXPECT_EQ(run(first_sql).plan_cache, "hit");
+  const DecompCache::Stats after_all = Delta();
+  EXPECT_EQ(after_all.misses, after_second.misses);
+  EXPECT_EQ(after_all.stale, 0u);
+  const QueryRun second_reference = uncached(second_sql);
+  EXPECT_FALSE(ByteIdentical(reference.output, second_reference.output))
+      << "the two bindings must differ for this test to mean anything";
+  for (const QueryRun* r : {&second_cold, &second_warm}) {
+    EXPECT_TRUE(ByteIdentical(second_reference.output, r->output));
+    EXPECT_EQ(second_reference.plan_description, r->plan_description);
+    EXPECT_EQ(second_reference.degradations, r->degradations);
+  }
+}
+
+TEST_F(PlanCacheTest, NoDecompositionIsCachedNegatively) {
+  // With every atom's tid in out(Q), the root must cover all three atoms:
+  // no rooted decomposition of width <= 2 exists, and q-HD falls back to DP.
+  HybridOptimizer optimizer(&catalog_, &registry_);
+  RunOptions options;
+  options.mode = OptimizerMode::kQhdHybrid;
+  options.tid_mode = TidMode::kAllAtoms;
+  options.max_width = 2;
+  options.use_plan_cache = true;
+  auto run = [&](const RunOptions& o) {
+    auto r = optimizer.Run(kChainSql, o);
+    EXPECT_TRUE(r.ok()) << r.status().message();
+    return std::move(r.value());
+  };
+
+  // A run whose governor trips (and does not degrade) publishes nothing.
+  RunOptions tripping = options;
+  tripping.search_node_budget = 1;
+  tripping.degrade_on_budget = false;
+  auto tripped = optimizer.Run(kChainSql, tripping);
+  ASSERT_FALSE(tripped.ok());
+  EXPECT_EQ(tripped.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(DecompCache::Global().stats().entries, 0u);
+
+  const QueryRun cold = run(options);
+  EXPECT_EQ(cold.plan_cache, "miss");
+  ASSERT_EQ(cold.degradations.size(), 1u);
+  EXPECT_NE(cold.degradations[0].find("no rooted decomposition of width <= 2"),
+            std::string::npos);
+  EXPECT_EQ(DecompCache::Global().stats().entries, 1u);
+  const QueryRun warm = run(options);
+  EXPECT_EQ(warm.plan_cache, "hit");
+  EXPECT_EQ(warm.degradations, cold.degradations);
+  EXPECT_EQ(warm.plan_description, cold.plan_description);
+  EXPECT_TRUE(ByteIdentical(cold.output, warm.output));
+
+  RunOptions plain = options;
+  plain.use_plan_cache = false;
+  const QueryRun reference = run(plain);
+  EXPECT_TRUE(ByteIdentical(reference.output, warm.output));
+  EXPECT_EQ(reference.degradations, warm.degradations);
+  DecompCache::Stats d = Delta();
+  EXPECT_EQ(d.misses, 2u);  // the tripped run's claim + the cold miss
+  EXPECT_EQ(d.hits, 1u);
 }
 
 TEST_F(PlanCacheTest, FourThreadStormComputesOnce) {

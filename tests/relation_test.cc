@@ -102,5 +102,40 @@ TEST(CatalogTest, PutReplaces) {
   EXPECT_EQ(catalog.Find("foo")->NumRows(), 3u);
 }
 
+TEST(CatalogTest, OverlayReadsThroughAndShadowsWithoutCopying) {
+  Catalog base;
+  base.Put("foo", MakeAb());
+  base.Put("bar", MakeAb().Distinct());
+  Catalog overlay(&base);
+  // Fallback hands out the parent's own relation, not a copy.
+  EXPECT_EQ(overlay.Find("FOO"), base.Find("foo"));
+  EXPECT_EQ(overlay.Find("bar"), base.Find("bar"));
+  EXPECT_FALSE(overlay.Get("baz").ok());
+
+  // A local Put shadows the parent's relation and leaves the parent alone.
+  Relation one{Schema({{"a", ValueType::kInt64}})};
+  one.AddRow({Value::Int64(7)});
+  overlay.Put("Bar", one);
+  ASSERT_NE(overlay.Find("bar"), base.Find("bar"));
+  EXPECT_EQ(overlay.Find("bar")->NumRows(), 1u);
+  EXPECT_EQ(base.Find("bar")->NumRows(), 3u);
+  overlay.Put("derived", one);
+  EXPECT_FALSE(base.Contains("derived"));
+
+  // Names is the sorted union, each name once; TotalRows counts the
+  // shadowing relation, not the shadowed one.
+  EXPECT_EQ(overlay.Names(),
+            (std::vector<std::string>{"bar", "derived", "foo"}));
+  EXPECT_EQ(overlay.TotalRows(), 4u + 1u + 1u);
+
+  // Overlays stack: the inner one sees both levels, nearest first.
+  Catalog inner(&overlay);
+  inner.Put("foo", one);
+  EXPECT_EQ(inner.Find("bar"), overlay.Find("bar"));
+  EXPECT_EQ(inner.Find("foo")->NumRows(), 1u);
+  EXPECT_EQ(overlay.Find("foo"), base.Find("foo"));
+  EXPECT_EQ(inner.Names(), overlay.Names());
+}
+
 }  // namespace
 }  // namespace htqo

@@ -127,6 +127,31 @@ TEST(SpillFileTest, WriteReadRoundTripPreservesRowsAndTags) {
   EXPECT_EQ(counters.retries, 0u);
 }
 
+TEST(SpillFileTest, UntaggedRunSavesEightBytesPerRow) {
+  // Grace build sides are written untagged: the same rows, minus one 64-bit
+  // tag each (a single page here, so the page header is common to both).
+  SpillManager manager{SpillOptions{}};
+  auto tagged = manager.Create(/*tagged=*/true);
+  auto untagged = manager.Create(/*tagged=*/false);
+  ASSERT_TRUE(tagged.ok() && untagged.ok());
+  Relation in{TestSchema()};
+  for (int i = 0; i < 50; ++i) {
+    in.AddRow({Value::Int64(i), Value::String("u" + std::to_string(i % 5)),
+               Value::Double(i / 4.0)});
+  }
+  for (std::size_t r = 0; r < in.NumRows(); ++r) {
+    ASSERT_TRUE((*tagged)->Append(r, in.Row(r)).ok());
+    ASSERT_TRUE((*untagged)->Append(in.Row(r)).ok());
+  }
+  ASSERT_TRUE((*tagged)->Finish().ok());
+  ASSERT_TRUE((*untagged)->Finish().ok());
+  EXPECT_EQ((*tagged)->bytes(), (*untagged)->bytes() + 8 * in.NumRows());
+
+  Relation out{TestSchema()};
+  ASSERT_TRUE((*untagged)->ReadBack(&out, nullptr).ok());
+  EXPECT_TRUE(ByteIdentical(in, out));
+}
+
 // Flips one bit of an on-disk spill page (header or payload) in place.
 void FlipBitAt(const std::string& path, long offset) {
   std::FILE* f = std::fopen(path.c_str(), "r+b");

@@ -34,6 +34,62 @@ TEST(StatisticsTest, RegistryAnalyzeAll) {
   EXPECT_EQ(registry.Find("t")->row_count, 100u);
 }
 
+TEST(StatisticsTest, OverlayReadsThroughWithoutBumpingEpochs) {
+  Catalog catalog;
+  catalog.Put("ov_base", MakeRel());
+  StatisticsRegistry base;
+  base.AnalyzeAll(catalog);
+  StatisticsRegistry overlay(&base);
+  EXPECT_FALSE(overlay.empty());
+  EXPECT_EQ(overlay.Find("OV_BASE"), base.Find("ov_base"));
+  EXPECT_EQ(overlay.OverlayFingerprint("ov_base"), std::nullopt)
+      << "root-registry relations are tracked by epochs";
+
+  // A Put into the overlay shadows the parent, exists only there, and
+  // leaves the process-wide epochs alone: both for a new name and for a
+  // name the parent also has.
+  StatsEpochRegistry& epochs = StatsEpochRegistry::Global();
+  const uint64_t base_epoch = epochs.Get("ov_base");
+  const uint64_t derived_epoch = epochs.Get("ov_derived");
+  RelationStats small = MakeManualStats(3, {3, 1});
+  overlay.Put("ov_derived", small);
+  overlay.Put("ov_base", small);
+  EXPECT_EQ(epochs.Get("ov_base"), base_epoch);
+  EXPECT_EQ(epochs.Get("ov_derived"), derived_epoch);
+  EXPECT_EQ(base.Find("ov_derived"), nullptr);
+  EXPECT_EQ(base.Find("ov_base")->row_count, 100u);
+  EXPECT_EQ(overlay.Find("ov_base")->row_count, 3u);
+  EXPECT_EQ(overlay.OverlayFingerprint("ov_derived"),
+            StatsFingerprint(small));
+  overlay.Clear();
+  EXPECT_EQ(epochs.Get("ov_base"), base_epoch);
+  EXPECT_EQ(overlay.Find("ov_base"), base.Find("ov_base"));
+
+  // Stacked overlays resolve to the nearest level holding the name.
+  overlay.Put("ov_derived", small);
+  StatisticsRegistry inner(&overlay);
+  EXPECT_EQ(inner.Find("ov_derived"), overlay.Find("ov_derived"));
+  EXPECT_EQ(inner.OverlayFingerprint("ov_derived"), StatsFingerprint(small));
+  EXPECT_EQ(inner.OverlayFingerprint("ov_base"), std::nullopt);
+
+  // A root registry's Put still bumps.
+  base.Put("ov_base", small);
+  EXPECT_EQ(epochs.Get("ov_base"), base_epoch + 1);
+}
+
+TEST(StatisticsTest, FingerprintIgnoresRowOrderButNotContent) {
+  Relation forward = MakeRel();
+  Relation backward{forward.schema()};
+  for (std::size_t r = forward.NumRows(); r-- > 0;) {
+    backward.AddRow({forward.At(r, 0), forward.At(r, 1)});
+  }
+  EXPECT_EQ(StatsFingerprint(CollectStats(forward)),
+            StatsFingerprint(CollectStats(backward)));
+  backward.AddRow({Value::Int64(1000), Value::Int64(0)});
+  EXPECT_NE(StatsFingerprint(CollectStats(forward)),
+            StatsFingerprint(CollectStats(backward)));
+}
+
 TEST(EstimatorTest, WithStatistics) {
   Catalog catalog;
   catalog.Put("t", MakeRel());
