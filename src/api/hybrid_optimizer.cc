@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <map>
 #include <optional>
-#include <unordered_map>
 
 #include "cache/decomp_cache.h"
 #include "cq/hypergraph_builder.h"
@@ -13,6 +12,7 @@
 #include "exec/adaptive.h"
 #include "exec/executor.h"
 #include "exec/plan.h"
+#include "hypergraph/join_tree.h"
 #include "obs/metrics.h"
 #include "util/strings.h"
 #include "opt/dp_optimizer.h"
@@ -31,12 +31,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-bool IsQhdMode(OptimizerMode mode) {
-  return mode == OptimizerMode::kQhdHybrid ||
-         mode == OptimizerMode::kQhdStructural ||
-         mode == OptimizerMode::kQhdNoOptimize;
 }
 
 // Folds a subquery run's meters into an accumulator (scalar, IN and
@@ -77,7 +71,8 @@ void BeginQueryRoot(std::optional<ScopedSpan>* root, const RunOptions& options,
 
 // EXPLAIN ANALYZE: rewrites the decomposition rendering with per-node
 // actuals mined from the qhd.node spans the evaluator emitted — rows
-// produced, wall time, worker thread, spill partitions under the node.
+// produced, wall time, worker thread — plus the batches and spill
+// partitions of the operator spans beneath each node.
 void AnnotatePlanDetails(const Tracer* tracer, const Hypergraph& h,
                          const Hypertree& hd, QueryRun* run) {
   if (tracer == nullptr) return;
@@ -90,55 +85,39 @@ void AnnotatePlanDetails(const Tracer* tracer, const Hypergraph& h,
     uint64_t batches = 0;
   };
   std::map<std::size_t, NodeActuals> actuals;
-  std::unordered_map<uint64_t, uint64_t> parent_of;
-  std::unordered_map<uint64_t, std::size_t> span_to_node;
-  parent_of.reserve(spans.size());
-  for (const Span& span : spans) parent_of[span.id] = span.parent;
+  // Span ids are 1-based indexes in begin order, so every parent precedes
+  // its children: one forward pass finds each span's nearest qhd.node.
+  constexpr std::size_t kNone = HypertreeNode::kNoParent;
+  std::vector<std::size_t> node_of(spans.size() + 1, kNone);
   for (const Span& span : spans) {
-    if (span.name != "qhd.node") continue;
-    std::size_t node = HypertreeNode::kNoParent;
-    uint64_t rows = 0;
-    for (const SpanAttr& attr : span.attrs) {
-      if (attr.key == "node") node = std::stoull(attr.value);
-      if (attr.key == "rows") rows = std::stoull(attr.value);
+    const std::size_t owner =
+        span.parent < node_of.size() ? node_of[span.parent] : kNone;
+    node_of[span.id] = owner;
+    if (span.name == "qhd.node") {
+      std::size_t node = kNone;
+      uint64_t rows = 0;
+      for (const SpanAttr& attr : span.attrs) {
+        if (attr.key == "node") node = std::stoull(attr.value);
+        if (attr.key == "rows") rows = std::stoull(attr.value);
+      }
+      if (node == kNone) continue;
+      node_of[span.id] = node;
+      NodeActuals& na = actuals[node];
+      na.ms = static_cast<double>(std::max<int64_t>(0, span.duration_ns)) / 1e6;
+      na.rows = rows;
+      na.thread = span.thread;
+    } else if (owner != kNone && span.name == "spill.partition") {
+      ++actuals[owner].spill_partitions;
+    } else if (owner != kNone && span.name.rfind("op.", 0) == 0) {
+      // Vectorized operator spans carry a "batches" attr.
+      for (const SpanAttr& attr : span.attrs) {
+        if (attr.key == "batches") {
+          actuals[owner].batches += std::stoull(attr.value);
+        }
+      }
     }
-    if (node == HypertreeNode::kNoParent) continue;
-    span_to_node[span.id] = node;
-    NodeActuals& na = actuals[node];
-    na.ms = static_cast<double>(std::max<int64_t>(0, span.duration_ns)) / 1e6;
-    na.rows = rows;
-    na.thread = span.thread;
   }
   if (actuals.empty()) return;
-  for (const Span& span : spans) {
-    const bool is_spill = span.name == "spill.partition";
-    uint64_t span_batches = 0;
-    if (!is_spill) {
-      // Vectorized operator spans (op.*) carry a "batches" attr; roll those
-      // up into the owning decomposition node like the spill partitions.
-      if (span.name.rfind("op.", 0) != 0) continue;
-      for (const SpanAttr& attr : span.attrs) {
-        if (attr.key == "batches") span_batches = std::stoull(attr.value);
-      }
-      if (span_batches == 0) continue;
-    }
-    // Attribute the span to its nearest qhd.node ancestor.
-    uint64_t cursor = span.parent;
-    for (int guard = 0; cursor != 0 && guard < 64; ++guard) {
-      auto node_it = span_to_node.find(cursor);
-      if (node_it != span_to_node.end()) {
-        if (is_spill) {
-          ++actuals[node_it->second].spill_partitions;
-        } else {
-          actuals[node_it->second].batches += span_batches;
-        }
-        break;
-      }
-      auto parent_it = parent_of.find(cursor);
-      if (parent_it == parent_of.end()) break;
-      cursor = parent_it->second;
-    }
-  }
   run->plan_details = hd.ToString(h, [&](std::size_t p) -> std::string {
     auto it = actuals.find(p);
     if (it == actuals.end()) return std::string();
@@ -217,55 +196,65 @@ Result<QueryRun> HybridOptimizer::RunStatement(const SelectStatement& stmt,
     const {
   std::optional<ScopedSpan> root;
   BeginQueryRoot(&root, options, options.mode);
-  // Uncorrelated scalar subqueries in WHERE evaluate first and become
-  // literals: x > (SELECT avg(y) FROM ...) compares against the computed
-  // value. SQL semantics: more than one row is an error; zero rows compare
-  // as unknown, i.e. the conjunct (and with it the whole WHERE) is false.
   bool has_scalar = false;
   for (const Comparison& cmp : stmt.where) {
     has_scalar |= cmp.lhs.ContainsScalarSubquery() ||
                   cmp.rhs.ContainsScalarSubquery();
   }
+  if (!has_scalar && !stmt.HasInSubqueries() && !stmt.HasDerivedTables()) {
+    IsolatorOptions iso;
+    iso.tid_mode = options.tid_mode;
+    std::optional<ScopedSpan> isolate_span(std::in_place, options.trace.tracer,
+                                           "isolate");
+    auto rq = IsolateConjunctiveQuery(stmt, *catalog_, iso);
+    if (rq.ok()) isolate_span->Attr("atoms", rq->cq.atoms.size());
+    isolate_span.reset();
+    if (!rq.ok()) return rq.status();
+    return RunResolved(*rq, options);
+  }
+
+  // A nested statement is rewritten one level — its subqueries run first
+  // and their meters accumulate — and the rewritten statement re-runs.
+  SelectStatement rewritten = stmt.Clone();
+  QueryRun accumulated;
+  HybridOptimizer outer = *this;
+  // Derived tables materialize into an overlay over the caller's database
+  // (base relations and their statistics are read through, never copied).
+  std::optional<Catalog> scratch;
+  std::optional<StatisticsRegistry> scratch_stats;
+  std::string suffix;
   if (has_scalar) {
-    SelectStatement rewritten = stmt.Clone();
-    QueryRun accumulated;
+    // Uncorrelated scalar subqueries in WHERE evaluate first and become
+    // literals: x > (SELECT avg(y) FROM ...) compares against the computed
+    // value. SQL semantics: more than one row is an error; zero rows
+    // compare as unknown, i.e. the conjunct (and with it the whole WHERE)
+    // is false.
     bool always_false = false;
     std::function<Status(Expr*)> replace = [&](Expr* e) -> Status {
-      if (e->kind == ExprKind::kScalarSubquery) {
-        auto sub_run = RunStatement(*e->subquery, options);
-        if (!sub_run.ok()) return sub_run.status();
-        MergeSubRun(*sub_run, &accumulated);
-        const Relation& out = sub_run->output;
-        if (out.arity() != 1) {
-          return Status::InvalidArgument(
-              "scalar subquery must select exactly one column");
-        }
-        if (out.NumRows() > 1) {
-          return Status::InvalidArgument(
-              "scalar subquery returned more than one row");
-        }
-        if (out.NumRows() == 0) {
-          always_false = true;
-          *e = Expr::MakeLiteral(Value::Int64(0));
-          return Status::Ok();
-        }
-        *e = Expr::MakeLiteral(out.At(0, 0));
-        return Status::Ok();
+      if (e->kind != ExprKind::kScalarSubquery) {
+        Status s = e->lhs ? replace(e->lhs.get()) : Status::Ok();
+        return s.ok() && e->rhs ? replace(e->rhs.get()) : s;
       }
-      if (e->lhs) {
-        Status s = replace(e->lhs.get());
-        if (!s.ok()) return s;
+      auto sub_run = RunStatement(*e->subquery, options);
+      if (!sub_run.ok()) return sub_run.status();
+      MergeSubRun(*sub_run, &accumulated);
+      const Relation& out = sub_run->output;
+      if (out.arity() != 1) {
+        return Status::InvalidArgument(
+            "scalar subquery must select exactly one column");
       }
-      if (e->rhs) {
-        Status s = replace(e->rhs.get());
-        if (!s.ok()) return s;
+      if (out.NumRows() > 1) {
+        return Status::InvalidArgument(
+            "scalar subquery returned more than one row");
       }
+      always_false |= out.NumRows() == 0;
+      *e = Expr::MakeLiteral(out.NumRows() == 0 ? Value::Int64(0)
+                                                : out.At(0, 0));
       return Status::Ok();
     };
     for (Comparison& cmp : rewritten.where) {
       Status s = replace(&cmp.lhs);
-      if (!s.ok()) return s;
-      s = replace(&cmp.rhs);
+      if (s.ok()) s = replace(&cmp.rhs);
       if (!s.ok()) return s;
     }
     if (always_false) {
@@ -275,22 +264,14 @@ Result<QueryRun> HybridOptimizer::RunStatement(const SelectStatement& stmt,
                                    CompareOp::kEq,
                                    Expr::MakeLiteral(Value::Int64(2)));
     }
-    auto run = RunStatement(rewritten, options);
-    if (!run.ok()) return run.status();
-    MergeSubRun(accumulated, &run.value());
-    return run;
-  }
-
-  // Uncorrelated IN-subqueries rewrite into a join with a DISTINCT derived
-  // table: x IN (SELECT y FROM ...) ≡ JOIN (SELECT DISTINCT y ...) s ON
-  // x = s.y — exact under bag semantics since the distinct single column
-  // matches each outer row at most once. The rewritten statement then goes
-  // through the derived-table materialization below.
-  if (stmt.HasInSubqueries()) {
-    SelectStatement rewritten = stmt.Clone();
+  } else if (stmt.HasInSubqueries()) {
+    // Uncorrelated IN-subqueries rewrite into a join with a DISTINCT
+    // derived table: x IN (SELECT y FROM ...) ≡ JOIN (SELECT DISTINCT y
+    // ...) s ON x = s.y — exact under bag semantics since the distinct
+    // single column matches each outer row at most once. The rewritten
+    // statement then goes through the derived-table materialization.
     std::vector<InCondition> remaining;
     std::size_t counter = 0;
-    QueryRun accumulated_in;
     for (InCondition& cond : rewritten.where_in) {
       if (cond.subquery == nullptr) {
         remaining.push_back(std::move(cond));
@@ -306,7 +287,7 @@ Result<QueryRun> HybridOptimizer::RunStatement(const SelectStatement& stmt,
         // filter.
         auto sub_run = RunStatement(*cond.subquery, options);
         if (!sub_run.ok()) return sub_run.status();
-        MergeSubRun(*sub_run, &accumulated_in);
+        MergeSubRun(*sub_run, &accumulated);
         InCondition literal;
         literal.lhs = std::move(cond.lhs);
         literal.negated = true;
@@ -347,195 +328,240 @@ Result<QueryRun> HybridOptimizer::RunStatement(const SelectStatement& stmt,
       ++counter;
     }
     rewritten.where_in = std::move(remaining);
-    auto run = RunStatement(rewritten, options);
-    if (!run.ok()) return run.status();
-    MergeSubRun(accumulated_in, &run.value());
-    return run;
+  } else {
+    scratch.emplace(catalog_);
+    scratch_stats.emplace(stats_);
+    outer = HybridOptimizer(&*scratch, &*scratch_stats);
+    std::size_t derived_count = 0;
+    for (TableRef& table : rewritten.from) {
+      if (!table.IsDerived()) continue;
+      // Bag semantics must survive materialization: a non-DISTINCT subquery
+      // feeding an outer aggregate contributes multiplicities.
+      RunOptions sub_options = options;
+      sub_options.tid_mode = TidMode::kAllAtoms;
+      ScopedSpan subquery_span(options.trace.tracer, "subquery");
+      subquery_span.Attr("alias", table.alias);
+      auto sub_run = outer.RunStatement(*table.subquery, sub_options);
+      if (!sub_run.ok()) return sub_run.status();
+
+      std::string derived_name = "htqo_derived_" +
+                                 std::to_string(derived_count++) + "_" +
+                                 table.alias;
+      scratch_stats->Put(derived_name, CollectStats(sub_run->output));
+      scratch->Put(derived_name, std::move(sub_run->output));
+      table.name = derived_name;
+      table.subquery.reset();
+      MergeSubRun(*sub_run, &accumulated);
+    }
+    suffix = " [+" + std::to_string(derived_count) + " materialized subquer" +
+             (derived_count == 1 ? "y" : "ies") + "]";
   }
 
-  if (!stmt.HasDerivedTables()) {
-    IsolatorOptions iso;
-    iso.tid_mode = options.tid_mode;
-    std::optional<ScopedSpan> isolate_span(std::in_place, options.trace.tracer,
-                                           "isolate");
-    auto rq = IsolateConjunctiveQuery(stmt, *catalog_, iso);
-    if (rq.ok()) isolate_span->Attr("atoms", rq->cq.atoms.size());
-    isolate_span.reset();
-    if (!rq.ok()) return rq.status();
-    return RunResolved(*rq, options);
-  }
-
-  // Materialize every derived table into an overlay over the caller's
-  // database (base relations and their statistics are read through, never
-  // copied), then run the rewritten outer statement against it.
-  Catalog scratch(catalog_);
-  StatisticsRegistry scratch_stats(stats_);
-
-  SelectStatement rewritten = stmt.Clone();
-  QueryRun accumulated;
-  std::size_t derived_count = 0;
-  for (TableRef& table : rewritten.from) {
-    if (!table.IsDerived()) continue;
-    // Bag semantics must survive materialization: a non-DISTINCT subquery
-    // feeding an outer aggregate contributes multiplicities.
-    RunOptions sub_options = options;
-    sub_options.tid_mode = TidMode::kAllAtoms;
-    HybridOptimizer sub_engine(&scratch, &scratch_stats);
-    ScopedSpan subquery_span(options.trace.tracer, "subquery");
-    subquery_span.Attr("alias", table.alias);
-    auto sub_run = sub_engine.RunStatement(*table.subquery, sub_options);
-    if (!sub_run.ok()) return sub_run.status();
-
-    std::string derived_name =
-        "htqo_derived_" + std::to_string(derived_count++) + "_" + table.alias;
-    scratch_stats.Put(derived_name, CollectStats(sub_run->output));
-    scratch.Put(derived_name, std::move(sub_run->output));
-    table.name = derived_name;
-    table.subquery.reset();
-
-    MergeSubRun(*sub_run, &accumulated);
-  }
-
-  HybridOptimizer outer(&scratch, &scratch_stats);
   auto run = outer.RunStatement(rewritten, options);
   if (!run.ok()) return run.status();
   MergeSubRun(accumulated, &run.value());
-  run->plan_description += " [+" + std::to_string(derived_count) +
-                           " materialized subquer" +
-                           (derived_count == 1 ? "y" : "ies") + "]";
+  run->plan_description += suffix;
   return run;
 }
 
-Result<QueryRun> HybridOptimizer::RunResolved(const ResolvedQuery& rq,
-                                              const RunOptions& options)
-    const {
-  std::optional<ScopedSpan> query_root;
-  BeginQueryRoot(&query_root, options, options.mode);
-  Tracer* const tracer = options.trace.tracer;
+namespace {
 
-  QueryRun run;
-  run.ctx.row_budget = options.row_budget;
-  run.ctx.work_budget = options.work_budget;
-  // Process-wide worker pool; nullptr (serial) when num_threads <= 1.
-  // Sharded runs fan each wave out over num_shards x num_threads lanes, so
-  // the pool is grown to the product up front — otherwise shard pieces
-  // would serialize behind each other on a pool sized for one shard.
-  const std::size_t shard_lanes =
-      std::max<std::size_t>(std::size_t{1}, options.num_shards);
-  ThreadPool* pool = ThreadPool::Shared(std::min(
-      kMaxShardLanes, options.num_threads * shard_lanes));
-  run.ctx.pool = pool;
-  run.ctx.num_threads = options.num_threads;
-  run.ctx.tracer = tracer;
-  run.ctx.trace_parent = Tracer::CurrentParent(tracer);
+constexpr std::size_t kNoLimit = std::numeric_limits<std::size_t>::max();
+using EdgeStats = StatsDecompositionCostModel::EdgeStats;
 
-  // Sharded evaluation (DESIGN.md §6j): stack-owned runtime, borrowed by
-  // the context like the governor; seal() snapshots and detaches it. The
-  // forest-reduction evaluators check ctx->shard themselves; quantitative
-  // modes simply never look at it.
-  ShardRuntime shard_runtime;
-  shard_runtime.options.num_shards = options.num_shards;
-  shard_runtime.options.replicate_threshold =
-      options.shard_replicate_threshold;
-  shard_runtime.options.exact_key_threshold =
-      options.shard_exact_key_threshold;
-  if (options.num_shards >= 1) run.ctx.shard = &shard_runtime;
+std::vector<EdgeStats> LookupEdgeStats(const ResolvedQuery& rq,
+                                       const StatisticsRegistry* stats,
+                                       Tracer* tracer) {
+  ScopedSpan span(tracer, "stats.lookup");
+  Estimator estimator(stats);
+  return BuildEdgeStats(rq.cq, estimator);
+}
 
-  if (rq.cq.always_false) {
-    auto out = EvaluateSelectOutput(rq, EmptyAnswer(rq), &run.ctx);
-    if (!out.ok()) return out.status();
-    run.output = std::move(out.value());
-    run.plan_description = "constant-false";
-    run.ctx.tracer = nullptr;
-    run.ctx.trace_parent = 0;
-    run.ctx.shard = nullptr;  // stack-local runtime, must not escape
-    MetricsRegistry::Global().GetCounter(kMetricQueriesTotal)->Increment();
-    return run;
+// Algorithm q-HypertreeDecomp (Fig. 4) under one of three cost models: the
+// statistics model, the structural model, or the statistics model on
+// `pinned` edge statistics (mid-query replanning's observed cardinalities).
+Result<QhdResult> SearchQhd(const ResolvedQuery& rq, const Hypergraph& h,
+                            const Bitset& out_vars,
+                            const StatisticsRegistry* stats,
+                            bool use_statistics,
+                            const std::vector<EdgeStats>* pinned,
+                            const QhdOptions& qopt) {
+  if (!use_statistics && pinned == nullptr) {
+    StructuralCostModel model;
+    return QHypertreeDecomp(h, out_vars, model, qopt);
   }
+  StatsDecompositionCostModel model(
+      h, pinned != nullptr ? *pinned : LookupEdgeStats(rq, stats, qopt.tracer));
+  return QHypertreeDecomp(h, out_vars, model, qopt);
+}
 
-  constexpr std::size_t kNoLimit = std::numeric_limits<std::size_t>::max();
-  // Tracing wants per-attempt nodes-visited counts, which the search loops
-  // only report through a governor; an unlimited one counts without ever
-  // tripping, so creating it is behavior-neutral.
-  const bool governed = options.deadline_seconds > 0 ||
-                        options.search_node_budget != kNoLimit ||
-                        options.memory_budget_bytes != kNoLimit ||
-                        options.cancel_flag != nullptr ||
-                        tracer != nullptr;
-
-  // Memory-adaptive execution: armed only when spilling is enabled AND the
-  // memory budget is finite (the soft threshold is a fraction of it). The
-  // manager lives on this frame; seal() snapshots its counters and clears
-  // the borrowed pointer before QueryRun escapes.
-  const bool spill_armed =
-      options.enable_spill && options.memory_budget_bytes != kNoLimit;
-  std::optional<SpillManager> spill_manager;
-  if (spill_armed) {
-    SpillOptions sopt;
-    sopt.dir = options.spill_dir;
-    sopt.disk_budget_bytes = options.spill_disk_budget_bytes;
-    spill_manager.emplace(std::move(sopt));
-    run.ctx.spill = &*spill_manager;
-    double frac = options.soft_memory_fraction;
-    if (frac <= 0.0 || frac > 1.0) frac = 0.5;
-    run.ctx.soft_memory_bytes = static_cast<std::size_t>(
-        static_cast<double>(options.memory_budget_bytes) * frac);
-  }
-  // One absolute wall deadline shared by every degradation-ladder attempt;
-  // node and memory budgets are granted afresh per attempt.
-  const auto wall_deadline =
-      options.deadline_seconds > 0
-          ? ResourceGovernor::Clock::now() +
-                std::chrono::duration_cast<ResourceGovernor::Clock::duration>(
-                    std::chrono::duration<double>(options.deadline_seconds))
-          : ResourceGovernor::Clock::time_point::max();
-
-  std::optional<ResourceGovernor> governor;
-  // `last_resort` lifts the per-attempt budgets (not the deadline) for the
-  // final GEQO rung, whose search is iteration-bounded by construction —
-  // guaranteeing the ladder ends in a plan rather than a tripped budget.
-  auto begin_attempt = [&](bool last_resort = false) -> ResourceGovernor* {
-    if (!governed) return nullptr;
-    if (governor.has_value()) run.governor.Merge(governor->stats());
-    ResourceGovernor::Options gopt;
-    gopt.deadline = wall_deadline;
-    gopt.node_budget = last_resort ? kNoLimit : options.search_node_budget;
-    gopt.memory_budget_bytes =
-        last_resort ? kNoLimit : options.memory_budget_bytes;
-    if (spill_armed) gopt.soft_memory_bytes = run.ctx.soft_memory_bytes;
-    gopt.cancel_flag = options.cancel_flag;
-    governor.emplace(gopt);
-    run.ctx.governor = &*governor;
-    return &*governor;
+// One step of the degradation ladder (DESIGN.md §6a).
+struct Rung {
+  enum class Kind {
+    kEmptyAnswer, kQhd, kClassicHd, kTreeDecomposition, kJoinForest, kDp,
+    kGeqo, kNaive
   };
-  // QueryRun holds its ExecContext by value and outlives this frame, so the
-  // stack-local governor must never escape through it: seal before every
-  // successful return.
-  auto seal = [&]() {
-    if (governor.has_value()) run.governor.Merge(governor->stats());
-    run.ctx.governor = nullptr;
-    run.ctx.replan = nullptr;  // stack-local controller, must not escape
-    if (spill_manager.has_value()) {
-      run.spill = spill_manager->counters();
+  Kind kind;
+  std::size_t width = 0;  // kQhd: this attempt's width bound
+};
+using RungKind = Rung::Kind;
+
+// The mode's rungs, best first.
+std::vector<Rung> Ladder(const ResolvedQuery& rq, const RunOptions& options) {
+  const OptimizerMode mode = options.mode;
+  if (rq.cq.always_false) return {{RungKind::kEmptyAnswer}};
+  if (mode == OptimizerMode::kNaive) return {{RungKind::kNaive}};
+  if (mode == OptimizerMode::kGeqoDefaults) return {{RungKind::kGeqo}};
+  if (mode == OptimizerMode::kTreeDecomposition) {
+    return {{RungKind::kTreeDecomposition}};
+  }
+  std::vector<Rung> rungs;
+  if (mode == OptimizerMode::kClassicHd) {
+    rungs.push_back({RungKind::kClassicHd});
+  } else if (mode == OptimizerMode::kYannakakis) {
+    rungs.push_back({RungKind::kJoinForest});
+  } else if (mode != OptimizerMode::kDpStatistics) {  // the q-HD modes
+    for (std::size_t w = options.max_width;; --w) {
+      rungs.push_back({RungKind::kQhd, w});
+      if (w <= 1) break;
+    }
+  }
+  rungs.push_back({RungKind::kDp});
+  rungs.push_back({RungKind::kGeqo});
+  return rungs;
+}
+
+// The degradation entry for stepping from rung `from` down to `to`.
+std::string StepDown(const Rung& from, const Rung& to, bool budget,
+                     std::size_t max_width) {
+  const std::string w = std::to_string(from.width);
+  std::string step =
+      from.kind == RungKind::kQhd
+          ? (budget ? "q-HD search at width " + w + " exceeded its budget"
+                    : "q-HD found no rooted decomposition of width <= " + w)
+      : from.kind == RungKind::kClassicHd
+          ? (budget ? "classic HD search exceeded its budget"
+                    : "classic HD found no decomposition of width <= " +
+                          std::to_string(max_width))
+      : from.kind == RungKind::kJoinForest
+          ? "yannakakis inapplicable (cyclic query)"
+          : "DP join search exceeded its budget";
+  if (to.kind == RungKind::kQhd) {
+    return step + "; retrying at width " + std::to_string(to.width);
+  }
+  return step + (to.kind == RungKind::kDp ? "; falling back to the DP plan"
+                                          : "; falling back to GEQO");
+}
+
+// What a rung hands the execute tail. The rung's kind says which evaluator
+// runs it: a rooted q-hypertree (kQhd), a complete hypertree for the classic
+// S2'/S2'' evaluator (kClassicHd, kTreeDecomposition), the join forest of an
+// acyclic H(Q) (kJoinForest), a join plan (kDp, kGeqo, kNaive), or nothing
+// (kEmptyAnswer).
+struct PhysicalPlan {
+  Hypertree tree;
+  std::unique_ptr<JoinPlan> join;
+  std::string description;
+  std::string details;
+  std::size_t width = 0;
+  std::size_t pruned = 0;
+};
+
+// One RunResolved call as an RAII scope. The constructor lends the
+// QueryRun's ExecContext the worker pool, the shard runtime and the spill
+// manager; each ladder attempt gets a fresh governor. The destructor seals
+// the run on every exit, error or not: it merges the governor stats,
+// snapshots the spill and shard counters, detaches every borrowed pointer
+// (the QueryRun outlives the scope) and records the process-wide metrics,
+// so failed queries are counted like answered ones.
+class PipelineRun {
+ public:
+  PipelineRun(const ResolvedQuery& rq, const RunOptions& options,
+              const Catalog& catalog, const StatisticsRegistry* stats,
+              QueryRun* run)
+      : rq_(rq),
+        options_(options),
+        catalog_(catalog),
+        stats_(stats),
+        run_(*run),
+        tracer_(options.trace.tracer),
+        h_(BuildHypergraph(rq.cq)),
+        out_vars_(OutputVarsBitset(rq.cq)),
+        use_statistics_(options.mode != OptimizerMode::kQhdStructural) {
+    ExecContext& ctx = run_.ctx;
+    ctx.row_budget = options.row_budget;
+    ctx.work_budget = options.work_budget;
+    // Process-wide worker pool; nullptr (serial) at one lane. Sharded runs
+    // fan each wave out over num_shards x num_threads lanes, so the pool is
+    // grown to the product up front — otherwise shard pieces would
+    // serialize behind each other on a pool sized for one shard.
+    const std::size_t shard_lanes =
+        std::max<std::size_t>(std::size_t{1}, options.num_shards);
+    ctx.pool = ThreadPool::Shared(
+        std::min(kMaxShardLanes, options.num_threads * shard_lanes));
+    ctx.num_threads = options.num_threads;
+    ctx.tracer = tracer_;
+    ctx.trace_parent = Tracer::CurrentParent(tracer_);
+
+    // Sharded evaluation (DESIGN.md §6j): the forest-reduction evaluators
+    // check ctx.shard themselves; quantitative plans never look at it.
+    shard_.options.num_shards = options.num_shards;
+    shard_.options.replicate_threshold = options.shard_replicate_threshold;
+    shard_.options.exact_key_threshold = options.shard_exact_key_threshold;
+    if (options.num_shards >= 1) ctx.shard = &shard_;
+
+    // Memory-adaptive execution: armed only when spilling is enabled AND
+    // the memory budget is finite (the soft threshold is a fraction of it).
+    if (options.enable_spill && options.memory_budget_bytes != kNoLimit) {
+      SpillOptions sopt;
+      sopt.dir = options.spill_dir;
+      sopt.disk_budget_bytes = options.spill_disk_budget_bytes;
+      spill_.emplace(std::move(sopt));
+      ctx.spill = &*spill_;
+      double frac = options.soft_memory_fraction;
+      if (frac <= 0.0 || frac > 1.0) frac = 0.5;
+      ctx.soft_memory_bytes = static_cast<std::size_t>(
+          static_cast<double>(options.memory_budget_bytes) * frac);
+    }
+
+    // Tracing wants per-attempt nodes-visited counts, which the search
+    // loops only report through a governor; an unlimited one counts without
+    // ever tripping, so creating it is behavior-neutral.
+    governed_ = options.deadline_seconds > 0 ||
+                options.search_node_budget != kNoLimit ||
+                options.memory_budget_bytes != kNoLimit ||
+                options.cancel_flag != nullptr || tracer_ != nullptr;
+    // One absolute wall deadline shared by every attempt; node and memory
+    // budgets are granted afresh per attempt.
+    if (options.deadline_seconds > 0) {
+      deadline_ = ResourceGovernor::Clock::now() +
+                  std::chrono::duration_cast<ResourceGovernor::Clock::duration>(
+                      std::chrono::duration<double>(options.deadline_seconds));
+    }
+  }
+
+  ~PipelineRun() {
+    QueryRun& run = run_;
+    if (governor_.has_value()) run.governor.Merge(governor_->stats());
+    if (spill_.has_value()) {
+      run.spill = spill_->counters();
       if (run.spill.spill_events > 0) {
         run.degradations.push_back(
             "memory-adaptive execution: " +
-            std::to_string(run.spill.spill_events) +
-            " operator(s) spilled " +
+            std::to_string(run.spill.spill_events) + " operator(s) spilled " +
             std::to_string(run.spill.bytes_written) +
             " bytes to disk (soft threshold " +
             std::to_string(run.ctx.soft_memory_bytes) + " bytes)");
       }
     }
+    if (run.ctx.shard != nullptr) run.shard = shard_.Snapshot();
+    run.ctx.governor = nullptr;
+    run.ctx.replan = nullptr;
     run.ctx.spill = nullptr;
-    if (run.ctx.shard != nullptr) {
-      run.shard = run.ctx.shard->Snapshot();
-      run.ctx.shard = nullptr;  // stack-local runtime, must not escape
-    }
-    // The tracer is caller-owned like the governor: don't let the borrowed
-    // pointer escape through the embedded context.
+    run.ctx.shard = nullptr;
     run.ctx.tracer = nullptr;
     run.ctx.trace_parent = 0;
+
     // Process-wide metrics: a handful of atomic adds per query, always on.
     MetricsRegistry& metrics = MetricsRegistry::Global();
     metrics.GetCounter(kMetricQueriesTotal)->Increment();
@@ -576,464 +602,434 @@ Result<QueryRun> HybridOptimizer::RunResolved(const ResolvedQuery& rq,
       metrics.GetHistogram(kMetricShardExchangesPerQuery)
           ->Record(run.shard.exchanges);
     }
-  };
-  auto budget_tripped = [&](const Status& s) {
-    return options.degrade_on_budget &&
-           s.code() == StatusCode::kDeadlineExceeded;
-  };
+  }
 
-  OptimizerMode mode = options.mode;
-  auto start = std::chrono::steady_clock::now();
+  PipelineRun(const PipelineRun&) = delete;
+  PipelineRun& operator=(const PipelineRun&) = delete;
 
-  if (mode == OptimizerMode::kYannakakis) {
-    begin_attempt();
-    std::optional<ScopedSpan> exec_span(std::in_place, tracer, "execute");
-    run.ctx.trace_parent = exec_span->id();
-    auto answer = YannakakisEvaluate(rq, *catalog_, &run.ctx);
-    if (!answer.ok()) {
-      exec_span.reset();
-      if (answer.status().code() == StatusCode::kNotFound &&
-          options.fallback_to_dp) {
-        run.degradations.push_back(
-            "yannakakis inapplicable (cyclic query); falling back to the DP "
-            "plan");
-        mode = OptimizerMode::kDpStatistics;
-      } else {
-        return answer.status();
+  // One rule loop over the ladder: a budget trip (with degrade_on_budget)
+  // steps down to the next rung, "Failure" (kNotFound, with fallback_to_dp)
+  // jumps to the DP rung, and anything else fails the run. Each step
+  // appends one degradation entry. The chosen plan then executes.
+  Status Run() {
+    const std::vector<Rung> ladder = Ladder(rq_, options_);
+    const auto plan_start = std::chrono::steady_clock::now();
+    std::size_t i = 0;
+    Result<PhysicalPlan> plan = Plan(ladder[i]);
+    while (!plan.ok()) {
+      const StatusCode code = plan.status().code();
+      const bool budget =
+          options_.degrade_on_budget && code == StatusCode::kDeadlineExceeded;
+      std::size_t next = i + 1;
+      if (!budget) {
+        if (code != StatusCode::kNotFound || !options_.fallback_to_dp) {
+          return plan.status();
+        }
+        while (next < ladder.size() && ladder[next].kind != RungKind::kDp) {
+          ++next;
+        }
       }
-    } else {
-      run.plan_description = "yannakakis three-pass over the join forest";
-      auto out = EvaluateSelectOutput(rq, *answer, &run.ctx);
-      if (!out.ok()) return out.status();
-      run.output = std::move(out.value());
-      exec_span.reset();
-      run.exec_seconds = SecondsSince(start);
-      seal();
-      return run;
+      if (next >= ladder.size()) return plan.status();
+      run_.degradations.push_back(
+          StepDown(ladder[i], ladder[next], budget, options_.max_width));
+      i = next;
+      plan = Plan(ladder[i]);
     }
+    run_.plan_seconds += SecondsSince(plan_start);
+    return Execute(ladder[i], std::move(plan.value()));
   }
 
-  if (mode == OptimizerMode::kTreeDecomposition) {
-    begin_attempt();
-    Hypergraph h = BuildHypergraph(rq.cq);
-    std::optional<ScopedSpan> search_span(std::in_place, tracer,
-                                          "search.tree-decomposition");
-    TreeDecomposition td = MinFillTreeDecomposition(h);
-    Hypertree hd = TreeDecompositionToHypertree(h, td);
-    CompleteDecomposition(h, &hd);
-    search_span->Attr("treewidth", td.Width());
-    search_span->Attr("width", hd.Width());
-    search_span.reset();
-    run.plan_seconds = SecondsSince(start);
-    run.decomposition_width = hd.Width();
-    run.plan_description = "min-fill tree decomposition (treewidth " +
-                           std::to_string(td.Width()) + ", cover width " +
-                           std::to_string(hd.Width()) + ") + Yannakakis";
-    auto exec_start = std::chrono::steady_clock::now();
-    std::optional<ScopedSpan> exec_span(std::in_place, tracer, "execute");
-    run.ctx.trace_parent = exec_span->id();
-    auto answer = EvaluateDecompositionClassic(rq, *catalog_, h, hd,
-                                               &run.ctx);
-    if (!answer.ok()) return answer.status();
-    auto out = EvaluateSelectOutput(rq, *answer, &run.ctx);
-    if (!out.ok()) return out.status();
-    run.output = std::move(out.value());
-    exec_span.reset();
-    run.exec_seconds = SecondsSince(exec_start);
-    seal();
-    return run;
+ private:
+  // A fresh governor with the per-attempt node and memory budgets under the
+  // run's one wall deadline (nullptr when the run is ungoverned).
+  // `last_resort` lifts the per-attempt budgets, not the deadline, for a
+  // GEQO rung reached by degradation: its search is iteration-bounded, so
+  // the ladder ends in a plan rather than a tripped budget.
+  ResourceGovernor* BeginAttempt(bool last_resort = false) {
+    if (!governed_) return nullptr;
+    if (governor_.has_value()) run_.governor.Merge(governor_->stats());
+    ResourceGovernor::Options gopt;
+    gopt.deadline = deadline_;
+    gopt.node_budget = last_resort ? kNoLimit : options_.search_node_budget;
+    gopt.memory_budget_bytes =
+        last_resort ? kNoLimit : options_.memory_budget_bytes;
+    if (spill_.has_value()) gopt.soft_memory_bytes = run_.ctx.soft_memory_bytes;
+    gopt.cancel_flag = options_.cancel_flag;
+    governor_.emplace(gopt);
+    run_.ctx.governor = &*governor_;
+    return &*governor_;
   }
 
-  if (mode == OptimizerMode::kClassicHd) {
-    ResourceGovernor* gov = begin_attempt();
-    Hypergraph h = BuildHypergraph(rq.cq);
-    std::optional<ScopedSpan> stats_span(std::in_place, tracer, "stats.lookup");
-    Estimator estimator(stats_);
-    StatsDecompositionCostModel model(h, BuildEdgeStats(rq.cq, estimator));
-    stats_span.reset();
-    // No out(Q) rooting, no Optimize: the pre-q-HD pipeline.
-    std::optional<ScopedSpan> search_span(std::in_place, tracer,
-                                          "search.classic-hd");
-    search_span->Attr("max_width", options.max_width);
-    auto hd = CostKDecomp(h, options.max_width, model, /*root_conn=*/nullptr,
-                          gov, pool, options.num_threads);
-    if (gov != nullptr) {
-      search_span->Attr("nodes_visited", gov->stats().search_nodes);
-    }
-    search_span->Attr("outcome", hd.ok() ? "ok" : "failure");
-    search_span.reset();
-    run.plan_seconds = SecondsSince(start);
-    if (!hd.ok()) {
-      bool degrade = budget_tripped(hd.status());
-      if (!degrade && (hd.status().code() != StatusCode::kNotFound ||
-                       !options.fallback_to_dp)) {
-        return hd.status();
+  Result<PhysicalPlan> Plan(const Rung& rung) {
+    // Every attempt but the constant-false answer runs governed.
+    ResourceGovernor* gov =
+        rung.kind == RungKind::kEmptyAnswer
+            ? nullptr
+            : BeginAttempt(rung.kind == RungKind::kGeqo &&
+                           run_.used_fallback());
+    // One search span per attempt, indexed by RungKind; the join-forest
+    // check and the naive plan search nothing.
+    static constexpr const char* kSearchSpans[] = {
+        "", "search.qhd", "search.classic-hd", "search.tree-decomposition",
+        "", "search.dp",  "search.geqo",       ""};
+    const char* span_name = kSearchSpans[static_cast<int>(rung.kind)];
+    ScopedSpan span(*span_name != '\0' ? tracer_ : nullptr, span_name);
+
+    Result<PhysicalPlan> plan = PhysicalPlan();
+    switch (rung.kind) {
+      case RungKind::kQhd:
+        plan = PlanQhd(rung.width, gov, &span);
+        break;
+      case RungKind::kClassicHd: {
+        // No out(Q) rooting, no Optimize: the pre-q-HD pipeline.
+        StatsDecompositionCostModel model(
+            h_, LookupEdgeStats(rq_, stats_, tracer_));
+        span.Attr("max_width", options_.max_width);
+        auto hd = CostKDecomp(h_, options_.max_width, model,
+                              /*root_conn=*/nullptr, gov, run_.ctx.pool,
+                              options_.num_threads);
+        if (!hd.ok()) {
+          plan = hd.status();
+          break;
+        }
+        plan->tree = std::move(hd.value());
+        CompleteDecomposition(h_, &plan->tree);
+        plan->width = plan->tree.Width();
+        plan->description = "classic HD + Yannakakis (width " +
+                            std::to_string(plan->width) + ")";
+        break;
       }
-      run.degradations.push_back(
-          degrade ? "classic HD search exceeded its budget; falling back to "
-                    "the DP plan"
-                  : "classic HD found no decomposition of width <= " +
-                        std::to_string(options.max_width) +
-                        "; falling back to the DP plan");
-      mode = OptimizerMode::kDpStatistics;
-    } else {
-      CompleteDecomposition(h, &hd.value());
-      run.decomposition_width = hd->Width();
-      run.plan_description = "classic HD + Yannakakis (width " +
-                             std::to_string(hd->Width()) + ")";
-      auto exec_start = std::chrono::steady_clock::now();
-      std::optional<ScopedSpan> exec_span(std::in_place, tracer, "execute");
-      run.ctx.trace_parent = exec_span->id();
-      auto answer =
-          EvaluateDecompositionClassic(rq, *catalog_, h, *hd, &run.ctx);
-      if (!answer.ok()) return answer.status();
-      auto out = EvaluateSelectOutput(rq, *answer, &run.ctx);
-      if (!out.ok()) return out.status();
-      run.output = std::move(out.value());
-      exec_span.reset();
-      run.exec_seconds = SecondsSince(exec_start);
-      seal();
-      return run;
+      case RungKind::kTreeDecomposition: {
+        TreeDecomposition td = MinFillTreeDecomposition(h_);
+        plan->tree = TreeDecompositionToHypertree(h_, td);
+        CompleteDecomposition(h_, &plan->tree);
+        plan->width = plan->tree.Width();
+        span.Attr("treewidth", td.Width());
+        span.Attr("width", plan->width);
+        plan->description = "min-fill tree decomposition (treewidth " +
+                            std::to_string(td.Width()) + ", cover width " +
+                            std::to_string(plan->width) + ") + Yannakakis";
+        break;
+      }
+      case RungKind::kJoinForest:
+        if (!BuildJoinForest(h_).ok()) {
+          plan = Status::NotFound(
+              "Yannakakis's algorithm requires an acyclic query hypergraph");
+          break;
+        }
+        plan->description = "yannakakis three-pass over the join forest";
+        break;
+      case RungKind::kDp: {
+        std::optional<ScopedSpan> stats_span(std::in_place, tracer_,
+                                             "stats.lookup");
+        Estimator estimator(stats_);
+        JoinGraph graph = BuildJoinGraph(rq_, estimator);
+        PlanCostModel cost(graph);
+        stats_span.reset();
+        // Left-deep System-R search: the plan space of the commercial
+        // optimizers the paper benchmarked against. (Bushy DP is available
+        // via DpOptions for library users.)
+        DpOptions dp_options;
+        dp_options.bushy = false;
+        dp_options.governor = gov;
+        auto dp = DpOptimize(graph, cost, dp_options);
+        plan = dp.ok() ? Result<PhysicalPlan>(JoinPlanOf(std::move(*dp)))
+                       : dp.status();
+        break;
+      }
+      case RungKind::kGeqo: {
+        // No statistics: the estimator runs on PostgreSQL-style defaults,
+        // and the optimizer prefers nested loops for inputs it believes are
+        // small — which, under default estimates, is all of them.
+        Estimator estimator(nullptr);
+        JoinGraph graph = BuildJoinGraph(rq_, estimator);
+        PlanCostModel cost(graph);
+        GeqoOptions geqo;
+        geqo.seed = options_.seed;
+        geqo.nested_loop_threshold = 2000.0;
+        geqo.governor = gov;
+        auto best = GeqoOptimize(graph, cost, geqo);
+        plan = best.ok() ? Result<PhysicalPlan>(JoinPlanOf(std::move(*best)))
+                         : best.status();
+        break;
+      }
+      case RungKind::kNaive:
+        plan = JoinPlanOf(
+            NaiveFromOrderPlan(rq_.cq.atoms.size(), JoinAlgo::kNestedLoop));
+        break;
+      case RungKind::kEmptyAnswer:
+        plan->description = "constant-false";
+        break;
     }
+    if (gov != nullptr) span.Attr("nodes_visited", gov->stats().search_nodes);
+    span.Attr("outcome",
+              plan.ok() ? "ok"
+              : plan.status().code() == StatusCode::kDeadlineExceeded
+                  ? "budget-exceeded"
+                  : "failure");
+    return plan;
   }
 
-  if (IsQhdMode(mode)) {
-    const bool use_statistics = mode != OptimizerMode::kQhdStructural;
-    const bool run_optimize = mode != OptimizerMode::kQhdNoOptimize;
-
-    Hypergraph h = BuildHypergraph(rq.cq);
-    Bitset out_vars = OutputVarsBitset(rq.cq);
-
-    // Plan cache: lowercased relation names, one per hyperedge (atom
-    // order) — the canonical certificate's edge labels and the keys of the
-    // statistics-epoch snapshot.
-    std::vector<std::string> edge_labels;
-    if (options.use_plan_cache) {
-      edge_labels.reserve(rq.cq.atoms.size());
-      for (const Atom& atom : rq.cq.atoms) {
+  Result<PhysicalPlan> PlanQhd(std::size_t width, ResourceGovernor* gov,
+                               ScopedSpan* span) {
+    span->Attr("width", width);
+    span->Attr("cost_model", use_statistics_ ? "statistics" : "structural");
+    // The search runs without Procedure Optimize, which runs below on
+    // whichever tree comes back. The plan cache stores these pre-Optimize
+    // trees, so pruning (a cheap, purely structural pass) stays per-run
+    // while the expensive search is shared; a hit skips the search *and*
+    // the stats lookup.
+    QhdOptions qopt = QhdSearchOptions(width, gov);
+    const bool run_optimize = qopt.run_optimize;
+    qopt.run_optimize = false;
+    auto search = [&] {
+      return SearchQhd(rq_, h_, out_vars_, stats_, use_statistics_, nullptr,
+                       qopt);
+    };
+    Result<QhdResult> decomp = Status::Internal("unset");
+    if (options_.use_plan_cache) {
+      // The certificate's edge labels and the statistics-epoch keys: one
+      // lowercased relation name per hyperedge, in atom order.
+      std::vector<std::string> edge_labels;
+      for (const Atom& atom : rq_.cq.atoms) {
         edge_labels.push_back(ToLower(atom.relation));
       }
-    }
-
-    // Degradation ladder, upper rungs: a governed q-HD attempt that trips
-    // its budget retries at the next smaller width (cheaper search space)
-    // before surrendering to the quantitative fallbacks below.
-    std::size_t width = options.max_width;
-    while (IsQhdMode(mode)) {
-      ResourceGovernor* gov = begin_attempt();
-      QhdOptions dopt;
-      dopt.max_width = width;
-      dopt.run_optimize = run_optimize;
-      dopt.governor = gov;
-      dopt.pool = pool;
-      dopt.num_threads = options.num_threads;
-      dopt.tracer = tracer;
-      auto attempt_start = std::chrono::steady_clock::now();
-      // One span per width attempt: the degradation ladder's retries show
-      // up as search.qhd siblings with descending width attributes.
-      std::optional<ScopedSpan> attempt_span(std::in_place, tracer,
-                                             "search.qhd");
-      attempt_span->Attr("width", width);
-      attempt_span->Attr("cost_model",
-                         use_statistics ? "statistics" : "structural");
-      auto run_search = [&](const QhdOptions& sopt) -> Result<QhdResult> {
-        if (use_statistics) {
-          std::optional<ScopedSpan> stats_span(std::in_place, tracer,
-                                               "stats.lookup");
-          Estimator estimator(stats_);
-          StatsDecompositionCostModel model(h,
-                                            BuildEdgeStats(rq.cq, estimator));
-          stats_span.reset();
-          return QHypertreeDecomp(h, out_vars, model, sopt);
-        }
-        StructuralCostModel model;
-        return QHypertreeDecomp(h, out_vars, model, sopt);
-      };
-      Result<QhdResult> decomp = Status::Internal("unset");
-      if (options.use_plan_cache) {
-        // The cache stores pre-Optimize trees, so the search closure
-        // disables Optimize and it is re-run below on whichever tree comes
-        // back — rebound hit or fresh miss — keeping pruning (a cheap,
-        // purely structural pass) per-run while the expensive search is
-        // shared. A hit skips the search *and* the stats lookup.
-        QhdOptions search_opt = dopt;
-        search_opt.run_optimize = false;
-        PlanCacheOutcome cache_outcome;
-        decomp = CachedQHypertreeDecomp(
-            h, out_vars, edge_labels, stats_, width, use_statistics, gov,
-            tracer, [&] { return run_search(search_opt); }, &cache_outcome);
-        run.plan_cache = cache_outcome.ToString();
-        attempt_span->Attr("plan_cache", run.plan_cache);
-        if (decomp.ok() && run_optimize) {
-          ScopedSpan optimize_span(tracer, "optimize");
-          decomp->pruned = OptimizeDecomposition(h, &decomp->hd, gov);
-          optimize_span.Attr("pruned", decomp->pruned);
-          if (gov != nullptr && gov->exhausted()) {
-            decomp = gov->trip_status();
-          }
-        }
-      } else {
-        decomp = run_search(dopt);
-      }
-      if (gov != nullptr) {
-        attempt_span->Attr("nodes_visited", gov->stats().search_nodes);
-      }
-      attempt_span->Attr(
-          "outcome",
-          decomp.ok() ? "ok"
-                      : (budget_tripped(decomp.status()) ? "budget-exceeded"
-                                                         : "failure"));
-      if (decomp.ok()) attempt_span->Attr("pruned", decomp->pruned);
-      attempt_span.reset();
-      run.plan_seconds += SecondsSince(attempt_start);
-
-      if (decomp.ok()) {
-        run.decomposition_width = decomp->width;
-        run.pruned_lambda_entries = decomp->pruned;
-        run.plan_description =
-            "q-hypertree decomposition (width " +
-            std::to_string(decomp->width) + ", " +
-            std::to_string(decomp->pruned) + " pruned)";
-        run.plan_details = decomp->hd.ToString(h);
-
-        // Adaptive mid-query re-planning (DESIGN.md §6h). With a controller
-        // on the context, the evaluator backs out when an intermediate blows
-        // past its estimate; we then pin the observed scan cardinalities
-        // into the edge statistics, re-enter the decomposition search, and
-        // resume — checkpointed subtree results carry over. Structural mode
-        // re-plans with the stats model on defaults: the pins land either
-        // way.
-        std::optional<ReplanController> controller;
-        std::vector<StatsDecompositionCostModel::EdgeStats> edge_stats;
-        if (options.enable_replan) {
-          ReplanController::Options ropt;
-          ropt.blowup_factor = options.replan_blowup_factor;
-          ropt.min_rows = options.replan_min_rows;
-          controller.emplace(ropt);
-          controller->set_armed(options.max_replans > 0);
-          run.ctx.replan = &*controller;
-          Estimator estimator(stats_);
-          edge_stats = BuildEdgeStats(rq.cq, estimator);
-        }
-
-        Hypertree current_hd = std::move(decomp->hd);
-        auto exec_start = std::chrono::steady_clock::now();
-        std::optional<ScopedSpan> exec_span(std::in_place, tracer, "execute");
-        run.ctx.trace_parent = exec_span->id();
-        Result<Relation> answer = Status::Internal("unset");
-        for (;;) {
-          if (controller.has_value()) {
-            StatsDecompositionCostModel est_model(h, edge_stats);
-            std::vector<double> estimates(current_hd.NumNodes(), 0.0);
-            for (std::size_t p = 0; p < current_hd.NumNodes(); ++p) {
-              estimates[p] = est_model.VertexRows(current_hd.node(p).lambda,
-                                                  current_hd.node(p).chi);
-            }
-            controller->BeginTree(std::move(estimates));
-          }
-          answer = EvaluateDecomposition(rq, *catalog_, h, current_hd,
-                                         &run.ctx);
-          if (answer.ok()) break;
-          if (!controller.has_value() || !controller->tripped()) {
-            run.ctx.replan = nullptr;
-            return answer.status();
-          }
-
-          // The evaluator tripped: account for the replan, then re-optimize
-          // with the observed cardinalities pinned.
-          ++run.replans;
-          run.governor.replan_trips += 1;
-          const std::size_t trip_node = controller->tripped_node();
-          const std::size_t actual = controller->tripped_actual();
-          const double estimate =
-              std::max(1.0, controller->tripped_estimate());
-          const double actual_f =
-              static_cast<double>(std::max<std::size_t>(1, actual));
-          const double error_factor = std::max(actual_f, estimate) /
-                                      std::min(actual_f, estimate);
-          MetricsRegistry& metrics = MetricsRegistry::Global();
-          metrics.GetCounter(kMetricReplansTotal)->Increment();
-          metrics.GetHistogram(kMetricEstimateErrorFactor)
-              ->Record(static_cast<uint64_t>(std::llround(error_factor)));
-          run.degradations.push_back(
-              "mid-query replan: node " + std::to_string(trip_node) +
-              " produced " + std::to_string(actual) + " rows vs estimate " +
-              std::to_string(static_cast<std::size_t>(estimate)) +
-              "; re-planning with observed cardinalities");
-          std::optional<ScopedSpan> replan_span(std::in_place, tracer,
-                                                "replan");
-          replan_span->Attr("node", trip_node);
-          replan_span->Attr("actual", actual);
-          replan_span->Attr("estimate",
-                            static_cast<std::size_t>(estimate));
-          replan_span->Attr("checkpoints",
-                            controller->checkpoints_stored());
-
-          for (const auto& [atom, rows] : controller->ObservedEdgeRows()) {
-            if (atom >= edge_stats.size()) continue;
-            const double r = std::max(1.0, static_cast<double>(rows));
-            edge_stats[atom].rows = r;
-            for (auto& [var, distinct] : edge_stats[atom].distinct) {
-              (void)var;
-              distinct = std::min(distinct, r);
-            }
-          }
-
-          // Fresh node/memory budgets for the re-planning search and the
-          // resumed evaluation; the wall deadline keeps running.
-          ResourceGovernor* rgov = begin_attempt();
-          auto replan_start = std::chrono::steady_clock::now();
-          QhdOptions sopt2;
-          sopt2.max_width = width;
-          sopt2.run_optimize = run_optimize;
-          sopt2.governor = rgov;
-          sopt2.pool = pool;
-          sopt2.num_threads = options.num_threads;
-          sopt2.tracer = tracer;
-          StatsDecompositionCostModel pinned_model(h, edge_stats);
-          // Deliberately bypasses the plan cache: a pinned search is
-          // specific to this execution's observations.
-          auto re = QHypertreeDecomp(h, out_vars, pinned_model, sopt2);
-          run.plan_seconds += SecondsSince(replan_start);
-          if (re.ok()) {
-            current_hd = std::move(re->hd);
-            run.decomposition_width = re->width;
-            run.pruned_lambda_entries = re->pruned;
-            run.plan_description =
-                "q-hypertree decomposition (width " +
-                std::to_string(re->width) + ", " +
-                std::to_string(re->pruned) + " pruned, replanned x" +
-                std::to_string(run.replans) + ")";
-            run.plan_details = current_hd.ToString(h);
-          }
-          // On search failure the current tree stands — the checkpoints
-          // still short-circuit its finished subtrees.
-          replan_span.reset();
-          controller->set_armed(run.replans < options.max_replans);
-        }
-        if (controller.has_value()) {
-          // Canonical order: the resumed tree may emit rows in a different
-          // order, so every replan-armed run sorts its answer — a replanned
-          // query and its never-replanned twin become byte-identical.
-          answer->SortBy({});
-          run.ctx.replan = nullptr;
-        }
-        auto out = EvaluateSelectOutput(rq, *answer, &run.ctx);
-        if (!out.ok()) return out.status();
-        run.output = std::move(out.value());
-        exec_span.reset();
-        run.exec_seconds = SecondsSince(exec_start);
-        AnnotatePlanDetails(tracer, h, current_hd, &run);
-        seal();
-        return run;
-      }
-      if (budget_tripped(decomp.status())) {
-        if (width > 1) {
-          run.degradations.push_back(
-              "q-HD search at width " + std::to_string(width) +
-              " exceeded its budget; retrying at width " +
-              std::to_string(width - 1));
-          --width;
-          continue;
-        }
-        run.degradations.push_back(
-            "q-HD search at width 1 exceeded its budget; falling back to "
-            "the DP plan");
-        mode = OptimizerMode::kDpStatistics;
-      } else if (decomp.status().code() == StatusCode::kNotFound &&
-                 options.fallback_to_dp) {
-        run.degradations.push_back(
-            "q-HD found no rooted decomposition of width <= " +
-            std::to_string(width) + "; falling back to the DP plan");
-        mode = OptimizerMode::kDpStatistics;  // hybrid fallback below
-      } else {
-        return decomp.status();
-      }
-    }
-  }
-
-  // --- Quantitative plan modes (and the hybrid fallback). -------------------
-  start = std::chrono::steady_clock::now();
-  std::unique_ptr<JoinPlan> plan;
-  if (mode == OptimizerMode::kDpStatistics) {
-    ResourceGovernor* gov = begin_attempt();
-    std::optional<ScopedSpan> stats_span(std::in_place, tracer, "stats.lookup");
-    Estimator estimator(stats_);
-    JoinGraph graph = BuildJoinGraph(rq, estimator);
-    PlanCostModel cost(graph);
-    stats_span.reset();
-    // Left-deep System-R search: the plan space of the commercial
-    // optimizers the paper benchmarked against. (Bushy DP is available
-    // via DpOptions for library users.)
-    DpOptions dp_options;
-    dp_options.bushy = false;
-    dp_options.governor = gov;
-    std::optional<ScopedSpan> search_span(std::in_place, tracer, "search.dp");
-    auto dp = DpOptimize(graph, cost, dp_options);
-    if (gov != nullptr) {
-      search_span->Attr("nodes_visited", gov->stats().search_nodes);
-    }
-    search_span->Attr("outcome", dp.ok() ? "ok" : "budget-exceeded");
-    search_span.reset();
-    if (dp.ok()) {
-      plan = std::move(dp.value());
-    } else if (budget_tripped(dp.status())) {
-      // Bottom rung: the genetic search is iteration-bounded, so it always
-      // produces some plan (unless the wall deadline itself has passed).
-      run.degradations.push_back(
-          "DP join search exceeded its budget; falling back to GEQO");
-      mode = OptimizerMode::kGeqoDefaults;
+      PlanCacheOutcome cache_outcome;
+      decomp = CachedQHypertreeDecomp(h_, out_vars_, edge_labels, stats_,
+                                      width, use_statistics_, gov, tracer_,
+                                      search, &cache_outcome);
+      run_.plan_cache = cache_outcome.ToString();
+      span->Attr("plan_cache", run_.plan_cache);
     } else {
-      return dp.status();
+      decomp = search();
     }
-  }
-  if (plan == nullptr && mode == OptimizerMode::kNaive) {
-    plan = NaiveFromOrderPlan(rq.cq.atoms.size(), JoinAlgo::kNestedLoop);
-    begin_attempt();  // execution still honors the deadline
-  }
-  if (plan == nullptr && mode == OptimizerMode::kGeqoDefaults) {
-    ResourceGovernor* gov = begin_attempt(/*last_resort=*/run.used_fallback());
-    // No statistics: the estimator runs on PostgreSQL-style defaults, and
-    // the optimizer prefers nested loops for inputs it believes are small
-    // — which, under default estimates, is all of them.
-    Estimator estimator(nullptr);
-    JoinGraph graph = BuildJoinGraph(rq, estimator);
-    PlanCostModel cost(graph);
-    GeqoOptions geqo;
-    geqo.seed = options.seed;
-    geqo.nested_loop_threshold = 2000.0;
-    geqo.governor = gov;
-    std::optional<ScopedSpan> search_span(std::in_place, tracer, "search.geqo");
-    auto best = GeqoOptimize(graph, cost, geqo);
-    if (gov != nullptr) {
-      search_span->Attr("nodes_visited", gov->stats().search_nodes);
+    if (decomp.ok() && run_optimize) {
+      ScopedSpan optimize_span(tracer_, "optimize");
+      decomp->pruned = OptimizeDecomposition(h_, &decomp->hd, gov);
+      optimize_span.Attr("pruned", decomp->pruned);
+      if (gov != nullptr && gov->exhausted()) decomp = gov->trip_status();
     }
-    search_span.reset();
-    if (!best.ok()) return best.status();
-    plan = std::move(best.value());
+    if (!decomp.ok()) return decomp.status();
+    span->Attr("pruned", decomp->pruned);
+    return RootedPlan(std::move(decomp.value()), "");
   }
-  if (plan == nullptr) return Status::Internal("unhandled optimizer mode");
 
-  run.plan_seconds += SecondsSince(start);
-  if (run.plan_description.empty() || run.used_fallback()) {
-    run.plan_description = (run.used_fallback() ? "fallback: " : "") +
-                           plan->ToString(rq);
+  PhysicalPlan RootedPlan(QhdResult decomp, const std::string& note) const {
+    PhysicalPlan plan;
+    plan.width = decomp.width;
+    plan.pruned = decomp.pruned;
+    plan.description = "q-hypertree decomposition (width " +
+                       std::to_string(decomp.width) + ", " +
+                       std::to_string(decomp.pruned) + " pruned" + note + ")";
+    plan.details = decomp.hd.ToString(h_);
+    plan.tree = std::move(decomp.hd);
+    return plan;
   }
-  run.plan_details = plan->ToString(rq) + "\n";
 
-  auto exec_start = std::chrono::steady_clock::now();
-  std::optional<ScopedSpan> exec_span(std::in_place, tracer, "execute");
-  run.ctx.trace_parent = exec_span->id();
-  auto joined = ExecuteJoinPlan(*plan, rq, *catalog_, &run.ctx);
-  if (!joined.ok()) return joined.status();
-  auto answer = ProjectToOutputVars(rq, *joined, &run.ctx);
-  if (!answer.ok()) return answer.status();
-  auto out = EvaluateSelectOutput(rq, *answer, &run.ctx);
-  if (!out.ok()) return out.status();
-  run.output = std::move(out.value());
-  exec_span.reset();
-  run.exec_seconds = SecondsSince(exec_start);
-  seal();
+  // What the run reports of the plan it executes.
+  void Publish(const PhysicalPlan& plan) {
+    run_.decomposition_width = plan.width;
+    run_.pruned_lambda_entries = plan.pruned;
+    run_.plan_description = plan.description;
+    run_.plan_details = plan.details;
+  }
+
+  PhysicalPlan JoinPlanOf(std::unique_ptr<JoinPlan> join) const {
+    PhysicalPlan plan;
+    plan.description =
+        (run_.used_fallback() ? "fallback: " : "") + join->ToString(rq_);
+    plan.details = join->ToString(rq_) + "\n";
+    plan.join = std::move(join);
+    return plan;
+  }
+
+  QhdOptions QhdSearchOptions(std::size_t width, ResourceGovernor* gov) const {
+    QhdOptions qopt;
+    qopt.max_width = width;
+    qopt.run_optimize = options_.mode != OptimizerMode::kQhdNoOptimize;
+    qopt.governor = gov;
+    qopt.pool = run_.ctx.pool;
+    qopt.num_threads = options_.num_threads;
+    qopt.tracer = tracer_;
+    return qopt;
+  }
+
+  // The one execute tail: the rung's evaluator, then the SELECT output.
+  Status Execute(const Rung& rung, PhysicalPlan plan) {
+    Publish(plan);
+    const auto exec_start = std::chrono::steady_clock::now();
+    std::optional<ScopedSpan> exec_span(std::in_place, tracer_, "execute");
+    run_.ctx.trace_parent = exec_span->id();
+    Result<Relation> answer = Status::Internal("unset");
+    switch (rung.kind) {
+      case RungKind::kEmptyAnswer:
+        answer = EmptyAnswer(rq_);
+        break;
+      case RungKind::kJoinForest:
+        answer = YannakakisEvaluate(rq_, catalog_, &run_.ctx);
+        break;
+      case RungKind::kClassicHd:
+      case RungKind::kTreeDecomposition:
+        answer = EvaluateDecompositionClassic(rq_, catalog_, h_, plan.tree,
+                                              &run_.ctx);
+        break;
+      case RungKind::kQhd:
+        answer = EvaluateRooted(rung.width, &plan);
+        break;
+      case RungKind::kDp:
+      case RungKind::kGeqo:
+      case RungKind::kNaive: {
+        auto joined = ExecuteJoinPlan(*plan.join, rq_, catalog_, &run_.ctx);
+        if (!joined.ok()) return joined.status();
+        answer = ProjectToOutputVars(rq_, *joined, &run_.ctx);
+        break;
+      }
+    }
+    if (!answer.ok()) return answer.status();
+    auto out = EvaluateSelectOutput(rq_, *answer, &run_.ctx);
+    if (!out.ok()) return out.status();
+    run_.output = std::move(out.value());
+    exec_span.reset();
+    run_.exec_seconds = SecondsSince(exec_start);
+    if (rung.kind == RungKind::kQhd) {
+      AnnotatePlanDetails(tracer_, h_, plan.tree, &run_);
+    }
+    return Status::Ok();
+  }
+
+  // Steps P', P'', P''' over the rooted tree of `plan`, with adaptive mid-query
+  // re-planning (DESIGN.md §6h). With a controller on the context, the
+  // evaluator backs out when an intermediate blows past its estimate; the
+  // observed scan cardinalities are then pinned into the edge statistics,
+  // the search is re-entered at the same width bound, and evaluation
+  // resumes — checkpointed subtree results carry over. Structural mode
+  // re-plans with the stats model on defaults: the pins land either way.
+  Result<Relation> EvaluateRooted(std::size_t width, PhysicalPlan* plan) {
+    const Hypertree& tree = plan->tree;  // replans assign through `plan`
+    std::optional<ReplanController> controller;
+    std::vector<EdgeStats> edge_stats;
+    if (options_.enable_replan) {
+      ReplanController::Options ropt;
+      ropt.blowup_factor = options_.replan_blowup_factor;
+      ropt.min_rows = options_.replan_min_rows;
+      controller.emplace(ropt);
+      controller->set_armed(options_.max_replans > 0);
+      run_.ctx.replan = &*controller;
+      Estimator estimator(stats_);
+      edge_stats = BuildEdgeStats(rq_.cq, estimator);
+    }
+
+    Result<Relation> answer = Status::Internal("unset");
+    for (;;) {
+      if (controller.has_value()) {
+        StatsDecompositionCostModel est_model(h_, edge_stats);
+        std::vector<double> estimates(tree.NumNodes(), 0.0);
+        for (std::size_t p = 0; p < tree.NumNodes(); ++p) {
+          estimates[p] =
+              est_model.VertexRows(tree.node(p).lambda, tree.node(p).chi);
+        }
+        controller->BeginTree(std::move(estimates));
+      }
+      answer = EvaluateDecomposition(rq_, catalog_, h_, tree, &run_.ctx);
+      if (answer.ok() || !controller.has_value() || !controller->tripped()) {
+        break;
+      }
+
+      // The evaluator tripped: account for the replan, then re-optimize
+      // with the observed cardinalities pinned.
+      ++run_.replans;
+      run_.governor.replan_trips += 1;
+      const std::size_t trip_node = controller->tripped_node();
+      const std::size_t actual = controller->tripped_actual();
+      const double estimate = std::max(1.0, controller->tripped_estimate());
+      const double actual_f =
+          static_cast<double>(std::max<std::size_t>(1, actual));
+      const double error_factor =
+          std::max(actual_f, estimate) / std::min(actual_f, estimate);
+      MetricsRegistry& metrics = MetricsRegistry::Global();
+      metrics.GetCounter(kMetricReplansTotal)->Increment();
+      metrics.GetHistogram(kMetricEstimateErrorFactor)
+          ->Record(static_cast<uint64_t>(std::llround(error_factor)));
+      run_.degradations.push_back(
+          "mid-query replan: node " + std::to_string(trip_node) +
+          " produced " + std::to_string(actual) + " rows vs estimate " +
+          std::to_string(static_cast<std::size_t>(estimate)) +
+          "; re-planning with observed cardinalities");
+      std::optional<ScopedSpan> replan_span(std::in_place, tracer_, "replan");
+      replan_span->Attr("node", trip_node);
+      replan_span->Attr("actual", actual);
+      replan_span->Attr("estimate", static_cast<std::size_t>(estimate));
+      replan_span->Attr("checkpoints", controller->checkpoints_stored());
+
+      for (const auto& [atom, rows] : controller->ObservedEdgeRows()) {
+        if (atom >= edge_stats.size()) continue;
+        const double r = std::max(1.0, static_cast<double>(rows));
+        edge_stats[atom].rows = r;
+        for (auto& [var, distinct] : edge_stats[atom].distinct) {
+          (void)var;
+          distinct = std::min(distinct, r);
+        }
+      }
+
+      // Fresh node/memory budgets for the re-planning search and the
+      // resumed evaluation; the wall deadline keeps running. The pinned
+      // search bypasses the plan cache: it is specific to this execution.
+      const auto replan_start = std::chrono::steady_clock::now();
+      auto re = SearchQhd(rq_, h_, out_vars_, stats_, use_statistics_,
+                          &edge_stats, QhdSearchOptions(width, BeginAttempt()));
+      run_.plan_seconds += SecondsSince(replan_start);
+      if (re.ok()) {
+        *plan = RootedPlan(std::move(re.value()),
+                           ", replanned x" + std::to_string(run_.replans));
+        Publish(*plan);
+      }
+      // On search failure the current tree stands — the checkpoints still
+      // short-circuit its finished subtrees.
+      replan_span.reset();
+      controller->set_armed(run_.replans < options_.max_replans);
+    }
+    if (controller.has_value()) {
+      // The controller lives on this frame and must not stay on the
+      // context. Canonical order: the resumed tree may emit rows in a
+      // different order, so every replan-armed run sorts its answer — a
+      // replanned query and its never-replanned twin become byte-identical.
+      run_.ctx.replan = nullptr;
+      if (answer.ok()) answer->SortBy({});
+    }
+    return answer;
+  }
+
+  const ResolvedQuery& rq_;
+  const RunOptions& options_;
+  const Catalog& catalog_;
+  const StatisticsRegistry* stats_;
+  QueryRun& run_;
+  Tracer* const tracer_;
+  const Hypergraph h_;
+  const Bitset out_vars_;
+  const bool use_statistics_;
+  bool governed_ = false;
+  ResourceGovernor::Clock::time_point deadline_ =
+      ResourceGovernor::Clock::time_point::max();
+  ShardRuntime shard_;
+  std::optional<SpillManager> spill_;
+  std::optional<ResourceGovernor> governor_;
+};
+
+}  // namespace
+
+Result<QueryRun> HybridOptimizer::RunResolved(const ResolvedQuery& rq,
+                                              const RunOptions& options)
+    const {
+  std::optional<ScopedSpan> query_root;
+  BeginQueryRoot(&query_root, options, options.mode);
+  QueryRun run;
+  Status status;
+  {
+    PipelineRun pipeline(rq, options, *catalog_, stats_, &run);
+    status = pipeline.Run();
+  }  // ~PipelineRun seals the run, answered or failed
+  if (!status.ok()) return status;
   return run;
 }
 
@@ -1048,16 +1044,10 @@ Result<RewrittenQuery> HybridOptimizer::RewriteQuery(
   qhd.max_width = options.max_width;
   qhd.run_optimize = options.mode != OptimizerMode::kQhdNoOptimize;
   qhd.tracer = options.trace.tracer;
-
-  Result<QhdResult> decomp = Status::Internal("unset");
-  if (options.mode == OptimizerMode::kQhdStructural || stats_ == nullptr) {
-    StructuralCostModel model;
-    decomp = QHypertreeDecomp(h, out_vars, model, qhd);
-  } else {
-    Estimator estimator(stats_);
-    StatsDecompositionCostModel model(h, BuildEdgeStats(rq->cq, estimator));
-    decomp = QHypertreeDecomp(h, out_vars, model, qhd);
-  }
+  auto decomp = SearchQhd(
+      *rq, h, out_vars, stats_,
+      options.mode != OptimizerMode::kQhdStructural && stats_ != nullptr,
+      /*pinned=*/nullptr, qhd);
   if (!decomp.ok()) return decomp.status();
   return RewriteAsViews(*rq, h, decomp->hd);
 }
@@ -1073,22 +1063,19 @@ Result<Relation> ExecuteRewrittenQuery(const RewrittenQuery& rewritten,
   options.row_budget = ctx->row_budget;
   options.work_budget = ctx->work_budget;
 
-  for (std::size_t i = 0; i < rewritten.view_bodies.size(); ++i) {
-    HybridOptimizer engine(&scratch, nullptr);
-    auto run = engine.Run(rewritten.view_bodies[i], options);
+  const HybridOptimizer engine(&scratch, nullptr);
+  const std::size_t views = rewritten.view_bodies.size();
+  for (std::size_t i = 0;; ++i) {
+    auto run = engine.Run(
+        i < views ? rewritten.view_bodies[i] : rewritten.final_statement,
+        options);
     if (!run.ok()) return run.status();
     ctx->rows_charged += run->ctx.rows_charged;
     ctx->work_charged += run->ctx.work_charged;
     ctx->NotePeak(run->ctx.peak_rows);
+    if (i == views) return std::move(run->output);
     scratch.Put(rewritten.view_names[i], std::move(run->output));
   }
-  HybridOptimizer engine(&scratch, nullptr);
-  auto run = engine.Run(rewritten.final_statement, options);
-  if (!run.ok()) return run.status();
-  ctx->rows_charged += run->ctx.rows_charged;
-  ctx->work_charged += run->ctx.work_charged;
-  ctx->NotePeak(run->ctx.peak_rows);
-  return std::move(run->output);
 }
 
 }  // namespace htqo

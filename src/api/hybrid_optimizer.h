@@ -259,10 +259,11 @@ class HybridOptimizer {
   const StatisticsRegistry* stats_;
 };
 
-// Executes a RewrittenQuery by materializing every view bottom-up in a
-// scratch catalog (copying the base relations of `base`) and running the
-// final statement — the "evaluated on top of any DBMS" path, using our own
-// engine as that DBMS. Used by tests and examples to validate rewritings.
+// Executes a RewrittenQuery by materializing every view bottom-up in an
+// overlay catalog over `base` (base relations are read through, never
+// copied) and running the final statement — the "evaluated on top of any
+// DBMS" path, using our own engine as that DBMS. Used by tests and examples
+// to validate rewritings.
 Result<Relation> ExecuteRewrittenQuery(const RewrittenQuery& rewritten,
                                        const Catalog& base,
                                        ExecContext* ctx);

@@ -306,32 +306,4 @@ Result<Relation> EvaluateDecomposition(const ResolvedQuery& rq,
   return ProjectByName(*rel[hd.root()], out_names, ctx);
 }
 
-Result<QhdEvaluation> EvaluateQhd(const ResolvedQuery& rq,
-                                  const Catalog& catalog,
-                                  const StatisticsRegistry* stats,
-                                  const QhdPlanOptions& options,
-                                  ExecContext* ctx) {
-  Hypergraph h = BuildHypergraph(rq.cq);
-  Bitset out_vars = OutputVarsBitset(rq.cq);
-
-  Result<QhdResult> decomp = Status::Internal("unset");
-  if (options.use_statistics) {
-    Estimator estimator(stats);
-    StatsDecompositionCostModel model(h, BuildEdgeStats(rq.cq, estimator));
-    decomp = QHypertreeDecomp(h, out_vars, model, options.decomp);
-  } else {
-    StructuralCostModel model;
-    decomp = QHypertreeDecomp(h, out_vars, model, options.decomp);
-  }
-  if (!decomp.ok()) return decomp.status();
-
-  QhdEvaluation eval;
-  eval.decomposition = std::move(decomp.value());
-  auto answer = EvaluateDecomposition(rq, catalog, h, eval.decomposition.hd,
-                                      ctx);
-  if (!answer.ok()) return answer.status();
-  eval.answer = std::move(answer.value());
-  return eval;
-}
-
 }  // namespace htqo

@@ -1,4 +1,4 @@
-// The q-hypertree evaluator of Section 4 and its planner.
+// The q-hypertree evaluator of Section 4.
 //
 // Given a q-hypertree decomposition of CQ(Q):
 //   P':   at every node, join the relations of lambda(p) (smallest-first,
@@ -16,41 +16,18 @@
 #include "cq/isolator.h"
 #include "decomp/qhd.h"
 #include "exec/operators.h"
-#include "stats/statistics.h"
 #include "storage/catalog.h"
 #include "util/status.h"
 
 namespace htqo {
 
-struct QhdPlanOptions {
-  QhdOptions decomp;
-  // true: cost-k-decomp minimizes the statistics cost model (hybrid mode);
-  // false: purely structural cost model (the stand-alone regime when no
-  // statistics are available).
-  bool use_statistics = true;
-};
-
-struct QhdEvaluation {
-  QhdResult decomposition;
-  Relation answer;  // CQ answer: one column per out(Q) variable
-};
-
 // Evaluates the CQ of `rq` against `catalog` using the decomposition `hd`
-// (steps P', P'', P''' only — no decomposition search). Exposed for the
-// Fig. 10 ablation and tests.
+// (steps P', P'', P''' only — no decomposition search). HybridOptimizer's
+// q-HD modes run it; the Fig. 10 ablation and tests call it directly.
 Result<Relation> EvaluateDecomposition(const ResolvedQuery& rq,
                                        const Catalog& catalog,
                                        const Hypergraph& h,
                                        const Hypertree& hd, ExecContext* ctx);
-
-// Full q-HD pipeline: build H(Q), run Algorithm q-HypertreeDecomp (Fig. 4)
-// with the statistics or structural cost model, then evaluate.
-// NotFound = "Failure" (no width-<=k decomposition rooted at out(Q)).
-Result<QhdEvaluation> EvaluateQhd(const ResolvedQuery& rq,
-                                  const Catalog& catalog,
-                                  const StatisticsRegistry* stats,
-                                  const QhdPlanOptions& options,
-                                  ExecContext* ctx);
 
 }  // namespace htqo
 

@@ -1,6 +1,7 @@
 // Observability-plane unit tests (DESIGN.md §6i): 128-bit trace identity,
 // tracer span caps, cross-process Chrome export, the flight recorder ring,
-// per-tenant SLO burn rates, and labeled Prometheus exposition.
+// per-tenant SLO burn rates, labeled Prometheus exposition, and per-query
+// metrics on every pipeline exit (DESIGN.md §6d).
 //
 // Server-level integration (DEBUG verb, /debug HTTP endpoints, stitched
 // client+server traces over a real socket) lives in server_test.cc; the
@@ -19,11 +20,14 @@
 #include <thread>
 #include <vector>
 
+#include "api/hybrid_optimizer.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "util/fault_injector.h"
+#include "workload/query_gen.h"
+#include "workload/synthetic.h"
 
 namespace htqo {
 namespace {
@@ -555,6 +559,85 @@ TEST(BuildInfoTest, ExpositionCarriesBuildAndProcessGauges) {
   EXPECT_NE(text.find(kMetricProcessUptimeSeconds), std::string::npos);
   EXPECT_GT(ProcessStartTimeSeconds(), 0.0);
   EXPECT_GE(ProcessUptimeSeconds(), 0.0);
+}
+
+// ------------------------------------------- per-query metrics, every exit
+
+// Every RunResolved exit reaches the process metrics, failures included.
+class QueryMetricsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    PopulateSyntheticCatalog(SyntheticConfig{6000, 60, 6, 99}, &catalog_);
+    stats_.AnalyzeAll(catalog_);
+  }
+
+  // Runs `sql` and returns the metric activity it caused.
+  MetricsSnapshot Delta(const std::string& sql, const RunOptions& options,
+                        StatusCode expected) {
+    const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+    auto run = HybridOptimizer(&catalog_, &stats_).Run(sql, options);
+    EXPECT_EQ(run.status().code(), expected) << run.status().message();
+    return MetricsRegistry::Global().Snapshot().DeltaSince(before);
+  }
+
+  static uint64_t Counter(const MetricsSnapshot& delta, const char* name) {
+    auto it = delta.counters.find(name);
+    return it == delta.counters.end() ? 0 : it->second;
+  }
+
+  static uint64_t HistogramCount(const MetricsSnapshot& delta,
+                                 const char* name) {
+    auto it = delta.histograms.find(name);
+    return it == delta.histograms.end() ? 0 : it->second.count;
+  }
+
+  Catalog catalog_;
+  StatisticsRegistry stats_;
+};
+
+TEST_F(QueryMetricsTest, FailedRunsAreCounted) {
+  RunOptions rows;
+  rows.row_budget = 10;
+  MetricsSnapshot delta =
+      Delta(ChainQuerySql(4), rows, StatusCode::kResourceExhausted);
+  EXPECT_EQ(Counter(delta, kMetricQueriesTotal), 1u);
+  EXPECT_EQ(HistogramCount(delta, kMetricExecLatencyUs), 1u);
+
+  RunOptions nodes;
+  nodes.search_node_budget = 5;
+  nodes.degrade_on_budget = false;
+  delta = Delta(ChainQuerySql(4), nodes, StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(Counter(delta, kMetricQueriesTotal), 1u);
+  EXPECT_EQ(Counter(delta, kMetricGovernorTripsTotal), 1u);
+}
+
+TEST_F(QueryMetricsTest, SpilledRunThatFailsCountsItsSpills) {
+  RunOptions options;
+  options.mode = OptimizerMode::kDpStatistics;
+  options.enable_spill = true;
+  options.memory_budget_bytes = 16u << 20;
+  options.soft_memory_fraction = 0.002;  // soft ≈ 32 KiB: joins spill
+  auto answered =
+      HybridOptimizer(&catalog_, &stats_).Run(LineQuerySql(5), options);
+  ASSERT_TRUE(answered.ok()) << answered.status().message();
+  ASSERT_GT(answered->spill.spill_events, 0u);
+
+  // The same run one row short of its budget fails after it has spilled.
+  options.row_budget = answered->ctx.rows_charged - 1;
+  const MetricsSnapshot delta =
+      Delta(LineQuerySql(5), options, StatusCode::kResourceExhausted);
+  EXPECT_EQ(Counter(delta, kMetricQueriesTotal), 1u);
+  EXPECT_GT(Counter(delta, kMetricSpillEventsTotal), 0u);
+  EXPECT_GT(Counter(delta, kMetricSpillBytesWrittenTotal), 0u);
+}
+
+TEST_F(QueryMetricsTest, ConstantFalseRunRecordsPerQueryHistograms) {
+  const MetricsSnapshot delta =
+      Delta("SELECT DISTINCT r1.a FROM r1, r2 WHERE r1.b = r2.a AND 1 = 2",
+            RunOptions(), StatusCode::kOk);
+  EXPECT_EQ(Counter(delta, kMetricQueriesTotal), 1u);
+  EXPECT_EQ(HistogramCount(delta, kMetricPlanLatencyUs), 1u);
+  EXPECT_EQ(HistogramCount(delta, kMetricRowsPerQuery), 1u);
 }
 
 }  // namespace

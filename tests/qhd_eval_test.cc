@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/hybrid_optimizer.h"
 #include "cq/hypergraph_builder.h"
 #include "exec/executor.h"
 #include "exec/plan.h"
@@ -14,6 +15,8 @@
 namespace htqo {
 namespace {
 
+// The q-HD modes end to end through HybridOptimizer::RunResolved, checked
+// against a naive hash-join reference.
 class QhdEvalTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -31,15 +34,37 @@ class QhdEvalTest : public ::testing::Test {
     return std::move(rq.value());
   }
 
-  // Reference: naive hash-join of all atoms, projected to out vars.
-  Relation ReferenceAnswer(const ResolvedQuery& rq) {
+  // Runs `rq` in a q-HD mode; `stats` defaults to the analyzed registry.
+  Result<QueryRun> RunQhd(const ResolvedQuery& rq, RunOptions options,
+                          const StatisticsRegistry* stats) {
+    return HybridOptimizer(&catalog_, stats).RunResolved(rq, options);
+  }
+  Result<QueryRun> RunQhd(const ResolvedQuery& rq,
+                          OptimizerMode mode = OptimizerMode::kQhdHybrid) {
+    RunOptions options;
+    options.mode = mode;
+    return RunQhd(rq, options, &registry_);
+  }
+
+  // Reference: naive hash-join of all atoms, projected to out vars, then
+  // the SELECT output.
+  Relation ReferenceOutput(const ResolvedQuery& rq) {
     ExecContext ctx;
     auto plan = NaiveFromOrderPlan(rq.cq.atoms.size(), JoinAlgo::kHash);
     auto joined = ExecuteJoinPlan(*plan, rq, catalog_, &ctx);
     EXPECT_TRUE(joined.ok()) << joined.status().message();
     auto answer = ProjectToOutputVars(rq, *joined, &ctx);
     EXPECT_TRUE(answer.ok());
-    return std::move(answer.value());
+    auto out = EvaluateSelectOutput(rq, *answer, &ctx);
+    EXPECT_TRUE(out.ok());
+    return std::move(out.value());
+  }
+
+  // The run answered through a q-hypertree decomposition, not a fallback.
+  static void ExpectQhdPlan(const QueryRun& run) {
+    EXPECT_FALSE(run.used_fallback()) << run.degradations.front();
+    EXPECT_EQ(run.plan_description.rfind("q-hypertree decomposition", 0), 0u)
+        << run.plan_description;
   }
 
   Catalog catalog_;
@@ -49,53 +74,52 @@ class QhdEvalTest : public ::testing::Test {
 TEST_F(QhdEvalTest, LineQueryMatchesReference) {
   for (std::size_t n : {2u, 4u, 6u, 9u}) {
     ResolvedQuery rq = Resolve(LineQuerySql(n));
-    ExecContext ctx;
-    auto eval = EvaluateQhd(rq, catalog_, &registry_, QhdPlanOptions{}, &ctx);
-    ASSERT_TRUE(eval.ok()) << eval.status().message();
-    EXPECT_TRUE(eval->answer.SameRowsAs(ReferenceAnswer(rq))) << n;
+    auto run = RunQhd(rq);
+    ASSERT_TRUE(run.ok()) << run.status().message();
+    ExpectQhdPlan(*run);
+    EXPECT_TRUE(run->output.SameRowsAs(ReferenceOutput(rq))) << n;
   }
 }
 
 TEST_F(QhdEvalTest, ChainQueryMatchesReference) {
   for (std::size_t n : {3u, 5u, 8u, 10u}) {
     ResolvedQuery rq = Resolve(ChainQuerySql(n));
-    ExecContext ctx;
-    auto eval = EvaluateQhd(rq, catalog_, &registry_, QhdPlanOptions{}, &ctx);
-    ASSERT_TRUE(eval.ok()) << eval.status().message();
-    EXPECT_TRUE(eval->answer.SameRowsAs(ReferenceAnswer(rq))) << n;
+    auto run = RunQhd(rq);
+    ASSERT_TRUE(run.ok()) << run.status().message();
+    ExpectQhdPlan(*run);
+    EXPECT_TRUE(run->output.SameRowsAs(ReferenceOutput(rq))) << n;
   }
 }
 
 TEST_F(QhdEvalTest, StructuralModeMatchesReference) {
   ResolvedQuery rq = Resolve(ChainQuerySql(6));
-  QhdPlanOptions opts;
-  opts.use_statistics = false;
-  ExecContext ctx;
-  auto eval = EvaluateQhd(rq, catalog_, nullptr, opts, &ctx);
-  ASSERT_TRUE(eval.ok()) << eval.status().message();
-  EXPECT_TRUE(eval->answer.SameRowsAs(ReferenceAnswer(rq)));
+  RunOptions options;
+  options.mode = OptimizerMode::kQhdStructural;
+  auto run = RunQhd(rq, options, /*stats=*/nullptr);
+  ASSERT_TRUE(run.ok()) << run.status().message();
+  ExpectQhdPlan(*run);
+  EXPECT_TRUE(run->output.SameRowsAs(ReferenceOutput(rq)));
 }
 
 TEST_F(QhdEvalTest, NoOptimizeMatchesOptimize) {
   ResolvedQuery rq = Resolve(ChainQuerySql(7));
-  QhdPlanOptions with, without;
-  without.decomp.run_optimize = false;
-  ExecContext c1, c2;
-  auto a = EvaluateQhd(rq, catalog_, &registry_, with, &c1);
-  auto b = EvaluateQhd(rq, catalog_, &registry_, without, &c2);
+  auto a = RunQhd(rq, OptimizerMode::kQhdHybrid);
+  auto b = RunQhd(rq, OptimizerMode::kQhdNoOptimize);
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_TRUE(a->answer.SameRowsAs(b->answer));
+  ExpectQhdPlan(*a);
+  ExpectQhdPlan(*b);
+  EXPECT_TRUE(a->output.SameRowsAs(b->output));
 }
 
 TEST_F(QhdEvalTest, OptimizeNeverIncreasesPeakRows) {
   ResolvedQuery rq = Resolve(ChainQuerySql(8));
-  QhdPlanOptions with, without;
-  without.decomp.run_optimize = false;
-  ExecContext c1, c2;
-  auto a = EvaluateQhd(rq, catalog_, &registry_, with, &c1);
-  auto b = EvaluateQhd(rq, catalog_, &registry_, without, &c2);
+  auto a = RunQhd(rq, OptimizerMode::kQhdHybrid);
+  auto b = RunQhd(rq, OptimizerMode::kQhdNoOptimize);
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_LE(c1.work_charged, c2.work_charged * 2);  // sanity, not strict
+  ExpectQhdPlan(*a);
+  ExpectQhdPlan(*b);
+  // A sanity bound, not a strict one.
+  EXPECT_LE(a->ctx.work_charged, b->ctx.work_charged * 2);
 }
 
 TEST_F(QhdEvalTest, PeakIntermediateIsPolynomiallyBounded) {
@@ -106,20 +130,20 @@ TEST_F(QhdEvalTest, PeakIntermediateIsPolynomiallyBounded) {
   // exponential naive evaluation at n=10 would exceed it by orders of
   // magnitude.
   ResolvedQuery rq = Resolve(ChainQuerySql(10));
-  ExecContext ctx;
-  auto eval = EvaluateQhd(rq, catalog_, &registry_, QhdPlanOptions{}, &ctx);
-  ASSERT_TRUE(eval.ok());
-  EXPECT_LE(ctx.peak_rows, 120u * 120u * 8u);
+  auto run = RunQhd(rq);
+  ASSERT_TRUE(run.ok()) << run.status().message();
+  ExpectQhdPlan(*run);
+  EXPECT_LE(run->ctx.peak_rows, 120u * 120u * 8u);
 }
 
 TEST_F(QhdEvalTest, WidthBoundFailureFallsThroughAsNotFound) {
   ResolvedQuery rq = Resolve(ChainQuerySql(5));
-  QhdPlanOptions opts;
-  opts.decomp.max_width = 1;  // chains are cyclic: need width 2
-  ExecContext ctx;
-  auto eval = EvaluateQhd(rq, catalog_, &registry_, opts, &ctx);
-  ASSERT_FALSE(eval.ok());
-  EXPECT_EQ(eval.status().code(), StatusCode::kNotFound);
+  RunOptions options;
+  options.max_width = 1;  // chains are cyclic: need width 2
+  options.fallback_to_dp = false;
+  auto run = RunQhd(rq, options, &registry_);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(QhdEvalTest, AggregateQueryWithTidsMatchesReference) {
@@ -127,17 +151,10 @@ TEST_F(QhdEvalTest, AggregateQueryWithTidsMatchesReference) {
       "SELECT r1.a AS k, count(*) AS n, sum(r2.b) AS s "
       "FROM r1, r2 WHERE r1.b = r2.a GROUP BY r1.a ORDER BY k",
       TidMode::kAggregatesOnly);
-  ExecContext ctx;
-  auto eval = EvaluateQhd(rq, catalog_, &registry_, QhdPlanOptions{}, &ctx);
-  ASSERT_TRUE(eval.ok()) << eval.status().message();
-  auto qhd_out = EvaluateSelectOutput(rq, eval->answer, &ctx);
-  ASSERT_TRUE(qhd_out.ok());
-
-  Relation ref = ReferenceAnswer(rq);
-  ExecContext ctx2;
-  auto ref_out = EvaluateSelectOutput(rq, ref, &ctx2);
-  ASSERT_TRUE(ref_out.ok());
-  EXPECT_TRUE(qhd_out->SameRowsAs(*ref_out));
+  auto run = RunQhd(rq);
+  ASSERT_TRUE(run.ok()) << run.status().message();
+  ExpectQhdPlan(*run);
+  EXPECT_TRUE(run->output.SameRowsAs(ReferenceOutput(rq)));
 }
 
 TEST_F(QhdEvalTest, AlwaysFalseQueryYieldsEmptyAnswer) {
@@ -211,11 +228,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_F(QhdEvalTest, RowBudgetPropagates) {
   ResolvedQuery rq = Resolve(ChainQuerySql(6));
-  ExecContext ctx;
-  ctx.row_budget = 10;
-  auto eval = EvaluateQhd(rq, catalog_, &registry_, QhdPlanOptions{}, &ctx);
-  ASSERT_FALSE(eval.ok());
-  EXPECT_EQ(eval.status().code(), StatusCode::kResourceExhausted);
+  RunOptions options;
+  options.row_budget = 10;
+  auto run = RunQhd(rq, options, &registry_);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
 }
 
 }  // namespace

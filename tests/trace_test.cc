@@ -290,9 +290,10 @@ TEST_F(TracingThreadingTest, FourThreadTpchTraceHasIntactSpans) {
     EXPECT_TRUE(names.count(required)) << "missing span: " << required;
   }
   // EXPLAIN ANALYZE annotations: every decomposition node line carries its
-  // observed rows and wall time.
+  // observed rows and wall time, plus the batches of the operators beneath.
   EXPECT_NE(run->plan_details.find("[rows="), std::string::npos);
   EXPECT_NE(run->plan_details.find("time="), std::string::npos);
+  EXPECT_NE(run->plan_details.find(" batches="), std::string::npos);
 }
 
 TEST_F(TracingThreadingTest, TracedRunOutputIsByteIdenticalToUntraced) {
@@ -375,6 +376,9 @@ TEST_F(TracingThreadingTest, SpilledRunEmitsPartitionSpans) {
   CheckSpanIntegrity(spans);
   if (run->spill.spill_events > 0) {
     EXPECT_TRUE(SpanNames(spans).count("spill.partition"));
+    // EXPLAIN ANALYZE rolls the partitions up into their decomposition node.
+    EXPECT_NE(run->plan_details.find(" spill_partitions="), std::string::npos)
+        << run->plan_details;
   }
 }
 

@@ -225,7 +225,7 @@ if $want_chaos; then
   ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'Chaos|Spill|Fault|ValueCodec|Server|Admission'
+      -R 'Chaos|Spill|Fault|ValueCodec|Server|Admission|Pipeline'
 fi
 
 if $want_tsan; then
