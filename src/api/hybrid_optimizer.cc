@@ -460,6 +460,7 @@ std::string StepDown(const Rung& from, const Rung& to, bool budget,
 // (kEmptyAnswer).
 struct PhysicalPlan {
   Hypertree tree;
+  JoinForest forest;
   std::unique_ptr<JoinPlan> join;
   std::string description;
   std::string details;
@@ -507,7 +508,6 @@ class PipelineRun {
     // check ctx.shard themselves; quantitative plans never look at it.
     shard_.options.num_shards = options.num_shards;
     shard_.options.replicate_threshold = options.shard_replicate_threshold;
-    shard_.options.exact_key_threshold = options.shard_exact_key_threshold;
     if (options.num_shards >= 1) ctx.shard = &shard_;
 
     // Memory-adaptive execution: armed only when spilling is enabled AND
@@ -711,14 +711,17 @@ class PipelineRun {
                             std::to_string(plan->width) + ") + Yannakakis";
         break;
       }
-      case RungKind::kJoinForest:
-        if (!BuildJoinForest(h_).ok()) {
+      case RungKind::kJoinForest: {
+        Result<JoinForest> forest = BuildJoinForest(h_);
+        if (!forest.ok()) {
           plan = Status::NotFound(
               "Yannakakis's algorithm requires an acyclic query hypergraph");
           break;
         }
+        plan->forest = std::move(forest.value());
         plan->description = "yannakakis three-pass over the join forest";
         break;
+      }
       case RungKind::kDp: {
         std::optional<ScopedSpan> stats_span(std::in_place, tracer_,
                                              "stats.lookup");
@@ -866,7 +869,8 @@ class PipelineRun {
         answer = EmptyAnswer(rq_);
         break;
       case RungKind::kJoinForest:
-        answer = YannakakisEvaluate(rq_, catalog_, &run_.ctx);
+        answer = YannakakisEvaluate(rq_, catalog_, h_, plan.forest,
+                                    &run_.ctx);
         break;
       case RungKind::kClassicHd:
       case RungKind::kTreeDecomposition:

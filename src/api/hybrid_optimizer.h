@@ -125,17 +125,17 @@ struct RunOptions {
   // program: each forest node's relation splits into num_shards pieces on
   // its parent-link join columns (small or keyless relations broadcast via
   // replicate-small), and the up/down passes ship blocked Bloom filters —
-  // or exact key sets under shard_exact_key_threshold — between pieces
-  // instead of rows (exec/shard.h, DESIGN.md §6j). Final output is
-  // byte-identical to the unsharded engine for the forest-reduction modes
-  // and identical across any S and thread count for all supported modes;
-  // RunResolved grows the shared pool by num_threads x num_shards so shard
-  // fan-out gets real lanes. num_shards = 1 runs the full sharded path
-  // with one piece (the scale-out baseline); 0 keeps sharding entirely
-  // off. Plan-only modes (DP/GEQO/Naive) and replan-armed runs ignore it.
+  // or exact key sets under ShardOptions::exact_key_threshold (default
+  // 4096) — between pieces instead of rows (exec/shard.h, DESIGN.md §6j).
+  // Final output is byte-identical to the unsharded engine for the
+  // forest-reduction modes and identical across any S and thread count for
+  // all supported modes; RunResolved grows the shared pool by num_threads x
+  // num_shards so shard fan-out gets real lanes. num_shards = 1 runs the
+  // full sharded path with one piece (the scale-out baseline); 0 keeps
+  // sharding entirely off. Plan-only modes (DP/GEQO/Naive) and replan-armed
+  // runs ignore it.
   std::size_t num_shards = 0;
   std::size_t shard_replicate_threshold = 64;
-  std::size_t shard_exact_key_threshold = 4096;
 
   // --- Plan caching (opt-in). With use_plan_cache set, every q-HD width
   // attempt consults the process-wide DecompCache before searching: the

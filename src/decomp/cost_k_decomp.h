@@ -3,14 +3,16 @@
 // of width at most k, following the weighted-decomposition approach of
 // Scarcello–Greco–Leone (PODS'04, the paper's ref [11]).
 //
-// The search space is the same subproblem lattice as det-k-decomp; instead
-// of stopping at the first feasible separator, every subproblem keeps the
-// separator minimizing
+// One search walks the (component, connector) subproblem lattice of
+// det-k-decomp for both modules; only its objective differs. With a cost
+// model, every subproblem keeps the separator minimizing
 //     VertexCost(sep, chi) + sum_children [ cost(child) +
 //                                           JoinCost(rows(p), rows(child)) ]
-// under a pluggable DecompositionCostModel. With statistics, the model
-// estimates intermediate-result sizes; without, a purely structural model is
-// used (the hybrid/structural axis of Section 6).
+// under a pluggable DecompositionCostModel (the first strict minimum in
+// enumeration order). Without one, it keeps the first separator whose
+// children all decompose — det-k-decomp (det_k_decomp.h). With statistics,
+// the model estimates intermediate-result sizes; without, a purely
+// structural model is used (the hybrid/structural axis of Section 6).
 
 #ifndef HTQO_DECOMP_COST_K_DECOMP_H_
 #define HTQO_DECOMP_COST_K_DECOMP_H_
@@ -95,17 +97,30 @@ class StatsDecompositionCostModel : public DecompositionCostModel {
 
 class ThreadPool;
 
-// Runs the min-cost search. Returns NotFound when no decomposition of width
-// <= k exists (with *root_conn ⊆ chi(root) when root_conn is non-null), or
-// DeadlineExceeded when the optional governor trips (one node per enumerated
-// separator candidate, memo growth charged against the memory budget).
+// The one normal-form search behind CostKDecomp and DetKDecomp. A non-null
+// `model` selects the min-cost objective; a null one the first-feasible
+// objective, which never consults a cost model. Returns NotFound when no
+// decomposition of width <= k exists (with *root_conn ⊆ chi(root) when
+// root_conn is non-null), or DeadlineExceeded when the optional governor
+// trips (one node per enumerated separator candidate, memo growth charged
+// against the memory budget; the memo's charges are released when the
+// search returns, so only the peak keeps them).
 //
-// With a pool and num_threads > 1, the root's separator candidates are
-// evaluated in parallel over a shared memo table. The result is
-// bit-identical to the serial search: candidates are collected in the
+// With a model, a pool and num_threads > 1, the root's separator
+// candidates are evaluated in parallel over a shared memo table. The result
+// is bit-identical to the serial search: candidates are collected in the
 // serial enumeration order, the min-cost reduction keeps the first strict
 // minimum in that order, and the memo computes every subproblem exactly
 // once so governor charges (and therefore budget trips) are unchanged.
+// The first-feasible objective always runs serially.
+Result<Hypertree> SearchDecomposition(const Hypergraph& h, std::size_t k,
+                                      const DecompositionCostModel* model,
+                                      const Bitset* root_conn = nullptr,
+                                      ResourceGovernor* governor = nullptr,
+                                      ThreadPool* pool = nullptr,
+                                      std::size_t num_threads = 1);
+
+// The min-cost search: SearchDecomposition with `model`.
 Result<Hypertree> CostKDecomp(const Hypergraph& h, std::size_t k,
                               const DecompositionCostModel& model,
                               const Bitset* root_conn = nullptr,

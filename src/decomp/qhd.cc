@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "decomp/det_k_decomp.h"
 #include "decomp/optimize.h"
 
 namespace htqo {
@@ -51,11 +50,10 @@ Result<QhdResult> QHypertreeDecomp(const Hypergraph& h, const Bitset& out_vars,
     const std::size_t nodes_before =
         options.governor != nullptr ? options.governor->stats().search_nodes
                                     : 0;
-    hd = options.first_feasible
-             ? DetKDecomp(h, options.max_width, &out_vars, options.governor)
-             : CostKDecomp(h, options.max_width, model, &out_vars,
-                           options.governor, options.pool,
-                           options.num_threads);
+    hd = SearchDecomposition(h, options.max_width,
+                             options.first_feasible ? nullptr : &model,
+                             &out_vars, options.governor, options.pool,
+                             options.num_threads);
     if (options.governor != nullptr) {
       search_span.Attr(
           "nodes_visited",

@@ -2,8 +2,10 @@
 // decomposition of a conjunctive query.
 //
 // Pipeline:
-//   1. cost-k-decomp over H(Q) with the root forced to cover out(Q)
-//      (Condition 2 of Definition 2), minimizing the cost model;
+//   1. the normal-form search over H(Q) with the root forced to cover
+//      out(Q) (Condition 2 of Definition 2): cost-k-decomp minimizing the
+//      cost model, or its first-feasible objective (det-k-decomp) — one
+//      SearchDecomposition call either way;
 //   2. completion: every atom absorbed during the normal-form search (an
 //      edge covered by some chi but present in no lambda) is attached as a
 //      width-1 child below a covering node, so the evaluator touches every
@@ -27,18 +29,19 @@ namespace htqo {
 struct QhdOptions {
   std::size_t max_width = 4;  // the fixed constant k ("typically k=4")
   bool run_optimize = true;   // feature (b); Fig. 10 ablates this
-  // Use the first-feasible det-k-decomp search instead of the min-cost
-  // search (the cost model is then ignored). First-feasible normal-form
-  // trees carry bounding copies of separator atoms down the tree — the HD1
-  // of Fig. 3 — which is precisely what Procedure Optimize prunes; the
-  // min-cost search tends to produce guard-free trees directly.
+  // Run the search with the first-feasible objective of det-k-decomp
+  // instead of the min-cost one (the cost model and the pool are then
+  // ignored). First-feasible normal-form trees carry bounding copies of
+  // separator atoms down the tree — the HD1 of Fig. 3 — which is precisely
+  // what Procedure Optimize prunes; the min-cost objective tends to produce
+  // guard-free trees directly.
   bool first_feasible = false;
   // Optional budget/deadline for the decomposition search and Procedure
   // Optimize; must outlive the call. A trip surfaces as DeadlineExceeded.
   ResourceGovernor* governor = nullptr;
   // Parallel search: with a pool and num_threads > 1, cost-k-decomp
   // evaluates the root's separator candidates concurrently (results stay
-  // bit-identical to serial; see CostKDecomp). Borrowed.
+  // bit-identical to serial; see SearchDecomposition). Borrowed.
   ThreadPool* pool = nullptr;
   std::size_t num_threads = 1;
   // Tracing: with a tracer set, QHypertreeDecomp emits one span per phase —

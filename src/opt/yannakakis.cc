@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <optional>
 
-#include "cq/hypergraph_builder.h"
 #include "exec/executor.h"
 #include "exec/shard.h"
-#include "hypergraph/join_tree.h"
 #include "opt/tree_waves.h"
 
 namespace htqo {
@@ -200,18 +198,14 @@ std::vector<std::string> OutNames(const ResolvedQuery& rq) {
 
 Result<Relation> YannakakisEvaluate(const ResolvedQuery& rq,
                                     const Catalog& catalog,
+                                    const Hypergraph& h,
+                                    const JoinForest& join_forest,
                                     ExecContext* ctx) {
   if (rq.cq.always_false) return EmptyAnswer(rq);
-  Hypergraph h = BuildHypergraph(rq.cq);
-  auto join_forest = BuildJoinForest(h);
-  if (!join_forest.ok()) {
-    return Status::NotFound(
-        "Yannakakis's algorithm requires an acyclic query hypergraph");
-  }
-
+  HTQO_CHECK(join_forest.parent.size() == h.NumEdges());
   Forest forest;
-  forest.parent = join_forest->parent;
-  forest.roots = join_forest->roots;
+  forest.parent = join_forest.parent;
+  forest.roots = join_forest.roots;
   forest.children.resize(h.NumEdges());
   for (std::size_t e = 0; e < h.NumEdges(); ++e) {
     if (forest.parent[e] != Forest::kNone) {

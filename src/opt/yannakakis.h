@@ -22,16 +22,20 @@
 #include "decomp/hypertree.h"
 #include "exec/operators.h"
 #include "hypergraph/hypergraph.h"
+#include "hypergraph/join_tree.h"
 #include "storage/catalog.h"
 #include "util/status.h"
 
 namespace htqo {
 
-// Evaluates an *acyclic* CQ by Yannakakis's algorithm over a join forest of
-// H(Q). Returns the CQ answer relation (columns = out(Q) variables).
-// NotFound when the query hypergraph is cyclic.
+// Evaluates an *acyclic* CQ by Yannakakis's algorithm over `forest`, a join
+// forest of h = H(Q) (BuildJoinForest, which says NotFound when H(Q) is
+// cyclic). Returns the CQ answer relation (columns = out(Q) variables).
 Result<Relation> YannakakisEvaluate(const ResolvedQuery& rq,
-                                    const Catalog& catalog, ExecContext* ctx);
+                                    const Catalog& catalog,
+                                    const Hypergraph& h,
+                                    const JoinForest& forest,
+                                    ExecContext* ctx);
 
 // Classic decomposition-based evaluation (S2' + S2''): materializes the
 // vertex relations of `hd` (which must be a complete decomposition of

@@ -15,6 +15,7 @@
 #include "decomp/cost_k_decomp.h"
 #include "decomp/det_k_decomp.h"
 #include "exec/operators.h"
+#include "util/thread_pool.h"
 #include "workload/hypergraph_zoo.h"
 #include "workload/query_gen.h"
 #include "workload/synthetic.h"
@@ -297,6 +298,77 @@ TEST(GovernedSearchTest, CostKDecompHonorsMemoryBudget) {
   ASSERT_FALSE(hd.ok());
   EXPECT_EQ(hd.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_GE(governor.stats().memory_hits, 1u);
+}
+
+TEST(GovernedSearchTest, SearchesReleaseTheirMemoWhenTheyEnd) {
+  // The memo dies with the search, so its charges must leave the live
+  // balance with it, whether the search succeeded or tripped: execution
+  // after a plan-cache miss would otherwise see a balance a hit does not.
+  // The peak still records the memo's high-water mark.
+  struct Case {
+    const char* name;
+    Hypergraph h;
+    std::size_t k;
+    bool det;
+    std::size_t threads;
+    std::size_t node_budget;
+    std::size_t memory_budget;
+    std::size_t peak;
+  };
+  const std::size_t unlimited = std::numeric_limits<std::size_t>::max();
+  const Case cases[] = {
+      {"det", CycleHypergraph(8), 2, true, 1, unlimited, unlimited, 1120},
+      {"cost", CycleHypergraph(8), 2, false, 1, unlimited, unlimited, 7840},
+      {"cost-parallel", CycleHypergraph(8), 2, false, 2, unlimited, unlimited,
+       7840},
+      {"det-node-trip", CycleHypergraph(12), 1, true, 1, 100, unlimited,
+       1120},
+      {"cost-node-trip", GridHypergraph(3, 4), 3, false, 1, 2000, unlimited,
+       1280},
+      // The root fan-out charges the root's whole enumeration before the
+      // workers memoize anything, and how many entries they finish before
+      // the trip can vary with scheduling, so this peak is not pinned (0).
+      {"cost-parallel-node-trip", GridHypergraph(3, 4), 3, false, 2, 2000,
+       unlimited, 0},
+      {"cost-memory-trip", CycleHypergraph(12), 2, false, 1, unlimited, 512,
+       640},
+  };
+  ThreadPool pool(2);
+  StructuralCostModel model;
+  for (const Case& c : cases) {
+    ResourceGovernor::Options options;
+    options.node_budget = c.node_budget;
+    options.memory_budget_bytes = c.memory_budget;
+    ResourceGovernor governor(options);
+    auto hd = c.det ? DetKDecomp(c.h, c.k, nullptr, &governor)
+                    : CostKDecomp(c.h, c.k, model, nullptr, &governor, &pool,
+                                  c.threads);
+    EXPECT_EQ(hd.ok(), c.node_budget == unlimited &&
+                           c.memory_budget == unlimited)
+        << c.name;
+    EXPECT_EQ(governor.live_memory_bytes(), 0u) << c.name;
+    if (c.peak != 0) {
+      EXPECT_EQ(governor.stats().peak_memory_bytes, c.peak) << c.name;
+    }
+  }
+}
+
+TEST(GovernedSearchTest, HypertreeWidthWidthsDoNotChargeEachOther) {
+  // Each width's search releases its memo before the next one starts, so
+  // the peak is the largest single search, not the sum over k = 1..hw.
+  Hypergraph h = CliqueHypergraph(6);
+  std::size_t largest = 0;
+  for (std::size_t k = 1; k <= 3; ++k) {
+    ResourceGovernor one;
+    (void)DetKDecomp(h, k, nullptr, &one);
+    largest = std::max(largest, one.stats().peak_memory_bytes);
+  }
+  ResourceGovernor governor;
+  auto width = ComputeHypertreeWidth(h, 4, &governor);
+  ASSERT_TRUE(width.ok());
+  EXPECT_EQ(*width, 3u);
+  EXPECT_EQ(governor.live_memory_bytes(), 0u);
+  EXPECT_EQ(governor.stats().peak_memory_bytes, largest);
 }
 
 TEST(GovernedSearchTest, AdversarialInstanceReturnsWithinDeadline) {

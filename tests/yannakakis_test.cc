@@ -7,6 +7,7 @@
 #include "decomp/qhd.h"
 #include "exec/executor.h"
 #include "exec/plan.h"
+#include "hypergraph/join_tree.h"
 #include "opt/naive_optimizer.h"
 #include "sql/parser.h"
 #include "workload/query_gen.h"
@@ -42,6 +43,14 @@ class YannakakisTest : public ::testing::Test {
     return std::move(answer.value());
   }
 
+  // Yannakakis's algorithm over a join forest of the query's H(Q).
+  Result<Relation> Yannakakis(const ResolvedQuery& rq, ExecContext* ctx) {
+    Hypergraph h = BuildHypergraph(rq.cq);
+    auto forest = BuildJoinForest(h);
+    if (!forest.ok()) return forest.status();
+    return YannakakisEvaluate(rq, catalog_, h, *forest, ctx);
+  }
+
   Catalog catalog_;
   StatisticsRegistry registry_;
 };
@@ -50,18 +59,18 @@ TEST_F(YannakakisTest, LineQueriesMatchReference) {
   for (std::size_t n : {2u, 4u, 7u, 10u}) {
     ResolvedQuery rq = Resolve(LineQuerySql(n));
     ExecContext ctx;
-    auto answer = YannakakisEvaluate(rq, catalog_, &ctx);
+    auto answer = Yannakakis(rq, &ctx);
     ASSERT_TRUE(answer.ok()) << answer.status().message();
     EXPECT_TRUE(answer->SameRowsAs(ReferenceAnswer(rq))) << n;
   }
 }
 
 TEST_F(YannakakisTest, RejectsCyclicQueries) {
+  // A cyclic H(Q) has no join forest to hand the evaluator.
   ResolvedQuery rq = Resolve(ChainQuerySql(5));
-  ExecContext ctx;
-  auto answer = YannakakisEvaluate(rq, catalog_, &ctx);
-  ASSERT_FALSE(answer.ok());
-  EXPECT_EQ(answer.status().code(), StatusCode::kNotFound);
+  auto forest = BuildJoinForest(BuildHypergraph(rq.cq));
+  ASSERT_FALSE(forest.ok());
+  EXPECT_EQ(forest.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(YannakakisTest, SemijoinReductionBoundsIntermediates) {
@@ -70,7 +79,7 @@ TEST_F(YannakakisTest, SemijoinReductionBoundsIntermediates) {
   // the exponential bag join of a 10-atom line at 40% selectivity.
   ResolvedQuery rq = Resolve(LineQuerySql(10));
   ExecContext ctx;
-  auto answer = YannakakisEvaluate(rq, catalog_, &ctx);
+  auto answer = Yannakakis(rq, &ctx);
   ASSERT_TRUE(answer.ok());
   EXPECT_LE(ctx.peak_rows, 130u * 130u);
 }
@@ -80,7 +89,7 @@ TEST_F(YannakakisTest, StarQueryMatchesReference) {
       "SELECT DISTINCT r1.a FROM r1, r2, r3, r4 "
       "WHERE r1.a = r2.a AND r1.a = r3.a AND r1.b = r4.b");
   ExecContext ctx;
-  auto answer = YannakakisEvaluate(rq, catalog_, &ctx);
+  auto answer = Yannakakis(rq, &ctx);
   ASSERT_TRUE(answer.ok()) << answer.status().message();
   EXPECT_TRUE(answer->SameRowsAs(ReferenceAnswer(rq)));
 }
@@ -90,7 +99,7 @@ TEST_F(YannakakisTest, BooleanStyleSingleOutput) {
   ResolvedQuery rq = Resolve(
       "SELECT DISTINCT r1.a FROM r1, r2 WHERE r1.b = r2.a AND r1.a = 3");
   ExecContext ctx;
-  auto answer = YannakakisEvaluate(rq, catalog_, &ctx);
+  auto answer = Yannakakis(rq, &ctx);
   ASSERT_TRUE(answer.ok());
   EXPECT_TRUE(answer->SameRowsAs(ReferenceAnswer(rq)));
 }
@@ -99,7 +108,7 @@ TEST_F(YannakakisTest, AlwaysFalseShortCircuits) {
   ResolvedQuery rq =
       Resolve("SELECT DISTINCT r1.a FROM r1 WHERE 1 = 2 AND r1.a = r1.a");
   ExecContext ctx;
-  auto answer = YannakakisEvaluate(rq, catalog_, &ctx);
+  auto answer = Yannakakis(rq, &ctx);
   ASSERT_TRUE(answer.ok());
   EXPECT_EQ(answer->NumRows(), 0u);
 }
