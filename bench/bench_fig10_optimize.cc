@@ -22,7 +22,7 @@
 #include "cq/hypergraph_builder.h"
 #include "decomp/qhd.h"
 #include "exec/executor.h"
-#include "opt/qhd_planner.h"
+#include "opt/bag_program.h"
 #include "stats/statistics.h"
 #include "workload/query_gen.h"
 #include "workload/synthetic.h"
@@ -68,6 +68,7 @@ void Run(benchmark::State& state, bool run_optimize) {
   auto qhd = QHypertreeDecomp(h, out, model, options);
   HTQO_CHECK(qhd.ok());
 
+  const BagProgram program = QhdProgram(*rq, qhd->hd);
   ExecContext ctx;
   ctx.work_budget = kWorkBudget;
   ctx.row_budget = kRowBudget;
@@ -76,7 +77,7 @@ void Run(benchmark::State& state, bool run_optimize) {
   for (auto _ : state) {
     ctx.rows_charged = 0;
     ctx.work_charged = 0;
-    auto answer = EvaluateDecomposition(*rq, env.catalog, h, qhd->hd, &ctx);
+    auto answer = RunBagProgram(program, *rq, env.catalog, &ctx);
     if (!answer.ok()) {
       HTQO_CHECK(answer.status().code() == StatusCode::kResourceExhausted);
       dnf = true;

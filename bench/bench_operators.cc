@@ -76,7 +76,9 @@ void DistinctOp(benchmark::State& state) {
   Relation rel = MakeSyntheticRelation(
       static_cast<std::size_t>(state.range(0)), {"a", "b"}, 20, 3);
   for (auto _ : state) {
-    Relation out = rel.Distinct();
+    ExecContext ctx;
+    auto out = SpillableDistinct(rel, &ctx);
+    HTQO_CHECK(out.ok());
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -16,10 +16,10 @@
 #include "obs/metrics.h"
 #include "util/strings.h"
 #include "opt/dp_optimizer.h"
+#include "opt/bag_program.h"
 #include "opt/geqo_optimizer.h"
 #include "opt/naive_optimizer.h"
 #include "decomp/tree_decomposition.h"
-#include "opt/yannakakis.h"
 #include "sql/parser.h"
 #include "util/thread_pool.h"
 
@@ -453,14 +453,14 @@ std::string StepDown(const Rung& from, const Rung& to, bool budget,
                                           : "; falling back to GEQO");
 }
 
-// What a rung hands the execute tail. The rung's kind says which evaluator
-// runs it: a rooted q-hypertree (kQhd), a complete hypertree for the classic
-// S2'/S2'' evaluator (kClassicHd, kTreeDecomposition), the join forest of an
-// acyclic H(Q) (kJoinForest), a join plan (kDp, kGeqo, kNaive), or nothing
-// (kEmptyAnswer).
+// What a rung hands the execute tail: a bag program for the tree rungs
+// (kQhd, kClassicHd, kTreeDecomposition, kJoinForest), a join plan (kDp,
+// kGeqo, kNaive), or nothing (kEmptyAnswer). `tree` is the decomposition a
+// q-HD program was built from: replanning re-estimates it and EXPLAIN
+// ANALYZE annotates it.
 struct PhysicalPlan {
+  BagProgram bags;
   Hypertree tree;
-  JoinForest forest;
   std::unique_ptr<JoinPlan> join;
   std::string description;
   std::string details;
@@ -504,8 +504,8 @@ class PipelineRun {
     ctx.tracer = tracer_;
     ctx.trace_parent = Tracer::CurrentParent(tracer_);
 
-    // Sharded evaluation (DESIGN.md §6j): the forest-reduction evaluators
-    // check ctx.shard themselves; quantitative plans never look at it.
+    // Sharded evaluation (DESIGN.md §6j): the bag-program executor checks
+    // ctx.shard itself; quantitative plans never look at it.
     shard_.options.num_shards = options.num_shards;
     shard_.options.replicate_threshold = options.shard_replicate_threshold;
     if (options.num_shards >= 1) ctx.shard = &shard_;
@@ -688,22 +688,18 @@ class PipelineRun {
         auto hd = CostKDecomp(h_, options_.max_width, model,
                               /*root_conn=*/nullptr, gov, run_.ctx.pool,
                               options_.num_threads);
-        if (!hd.ok()) {
-          plan = hd.status();
-          break;
+        plan = hd.ok() ? ClassicPlan(std::move(hd.value()))
+                       : Result<PhysicalPlan>(hd.status());
+        if (plan.ok()) {
+          plan->description = "classic HD + Yannakakis (width " +
+                              std::to_string(plan->width) + ")";
         }
-        plan->tree = std::move(hd.value());
-        CompleteDecomposition(h_, &plan->tree);
-        plan->width = plan->tree.Width();
-        plan->description = "classic HD + Yannakakis (width " +
-                            std::to_string(plan->width) + ")";
         break;
       }
       case RungKind::kTreeDecomposition: {
         TreeDecomposition td = MinFillTreeDecomposition(h_);
-        plan->tree = TreeDecompositionToHypertree(h_, td);
-        CompleteDecomposition(h_, &plan->tree);
-        plan->width = plan->tree.Width();
+        plan = ClassicPlan(TreeDecompositionToHypertree(h_, td));
+        if (!plan.ok()) break;
         span.Attr("treewidth", td.Width());
         span.Attr("width", plan->width);
         plan->description = "min-fill tree decomposition (treewidth " +
@@ -718,7 +714,7 @@ class PipelineRun {
               "Yannakakis's algorithm requires an acyclic query hypergraph");
           break;
         }
-        plan->forest = std::move(forest.value());
+        plan->bags = YannakakisProgram(rq_, h_, *forest);
         plan->description = "yannakakis three-pass over the join forest";
         break;
       }
@@ -825,7 +821,19 @@ class PipelineRun {
                        std::to_string(decomp.width) + ", " +
                        std::to_string(decomp.pruned) + " pruned" + note + ")";
     plan.details = decomp.hd.ToString(h_);
+    plan.bags = QhdProgram(rq_, decomp.hd);
     plan.tree = std::move(decomp.hd);
+    return plan;
+  }
+
+  // The classic S2'/S2'' plan over a complete decomposition of H(Q).
+  Result<PhysicalPlan> ClassicPlan(Hypertree tree) const {
+    CompleteDecomposition(h_, &tree);
+    auto program = ClassicProgram(rq_, h_, tree);
+    if (!program.ok()) return program.status();
+    PhysicalPlan plan;
+    plan.bags = std::move(program.value());
+    plan.width = tree.Width();
     return plan;
   }
 
@@ -864,30 +872,17 @@ class PipelineRun {
     std::optional<ScopedSpan> exec_span(std::in_place, tracer_, "execute");
     run_.ctx.trace_parent = exec_span->id();
     Result<Relation> answer = Status::Internal("unset");
-    switch (rung.kind) {
-      case RungKind::kEmptyAnswer:
-        answer = EmptyAnswer(rq_);
-        break;
-      case RungKind::kJoinForest:
-        answer = YannakakisEvaluate(rq_, catalog_, h_, plan.forest,
-                                    &run_.ctx);
-        break;
-      case RungKind::kClassicHd:
-      case RungKind::kTreeDecomposition:
-        answer = EvaluateDecompositionClassic(rq_, catalog_, h_, plan.tree,
-                                              &run_.ctx);
-        break;
-      case RungKind::kQhd:
-        answer = EvaluateRooted(rung.width, &plan);
-        break;
-      case RungKind::kDp:
-      case RungKind::kGeqo:
-      case RungKind::kNaive: {
-        auto joined = ExecuteJoinPlan(*plan.join, rq_, catalog_, &run_.ctx);
-        if (!joined.ok()) return joined.status();
-        answer = ProjectToOutputVars(rq_, *joined, &run_.ctx);
-        break;
-      }
+    if (plan.join != nullptr) {
+      auto joined = ExecuteJoinPlan(*plan.join, rq_, catalog_, &run_.ctx);
+      if (!joined.ok()) return joined.status();
+      answer = ProjectToOutputVars(rq_, *joined, &run_.ctx);
+    } else if (rung.kind == RungKind::kQhd && options_.enable_replan) {
+      // Only the q-HD rungs replan: they own a search to re-enter.
+      answer = EvaluateReplanning(rung.width, &plan);
+    } else {
+      // Every tree rung runs its bag program; the constant-false rung's
+      // empty program answers with the empty relation.
+      answer = RunBagProgram(plan.bags, rq_, catalog_, &run_.ctx);
     }
     if (!answer.ok()) return answer.status();
     auto out = EvaluateSelectOutput(rq_, *answer, &run_.ctx);
@@ -901,51 +896,43 @@ class PipelineRun {
     return Status::Ok();
   }
 
-  // Steps P', P'', P''' over the rooted tree of `plan`, with adaptive mid-query
-  // re-planning (DESIGN.md §6h). With a controller on the context, the
-  // evaluator backs out when an intermediate blows past its estimate; the
-  // observed scan cardinalities are then pinned into the edge statistics,
-  // the search is re-entered at the same width bound, and evaluation
-  // resumes — checkpointed subtree results carry over. Structural mode
-  // re-plans with the stats model on defaults: the pins land either way.
-  Result<Relation> EvaluateRooted(std::size_t width, PhysicalPlan* plan) {
-    const Hypertree& tree = plan->tree;  // replans assign through `plan`
-    std::optional<ReplanController> controller;
-    std::vector<EdgeStats> edge_stats;
-    if (options_.enable_replan) {
-      ReplanController::Options ropt;
-      ropt.blowup_factor = options_.replan_blowup_factor;
-      ropt.min_rows = options_.replan_min_rows;
-      controller.emplace(ropt);
-      controller->set_armed(options_.max_replans > 0);
-      run_.ctx.replan = &*controller;
-      Estimator estimator(stats_);
-      edge_stats = BuildEdgeStats(rq_.cq, estimator);
-    }
+  // The q-HD bag program of `plan` with adaptive mid-query re-planning
+  // (DESIGN.md §6h). With the controller on the context, the executor backs
+  // out when an intermediate blows past its estimate; the observed scan
+  // cardinalities are then pinned into the edge statistics, the search is
+  // re-entered at the same width bound, and evaluation resumes —
+  // checkpointed subtree results carry over. Structural mode re-plans with
+  // the stats model on defaults: the pins land either way.
+  Result<Relation> EvaluateReplanning(std::size_t width, PhysicalPlan* plan) {
+    ReplanController::Options ropt;
+    ropt.blowup_factor = options_.replan_blowup_factor;
+    ropt.min_rows = options_.replan_min_rows;
+    ReplanController controller(ropt);
+    controller.set_armed(options_.max_replans > 0);
+    run_.ctx.replan = &controller;
+    Estimator estimator(stats_);
+    std::vector<EdgeStats> edge_stats = BuildEdgeStats(rq_.cq, estimator);
 
     Result<Relation> answer = Status::Internal("unset");
     for (;;) {
-      if (controller.has_value()) {
-        StatsDecompositionCostModel est_model(h_, edge_stats);
-        std::vector<double> estimates(tree.NumNodes(), 0.0);
-        for (std::size_t p = 0; p < tree.NumNodes(); ++p) {
-          estimates[p] =
-              est_model.VertexRows(tree.node(p).lambda, tree.node(p).chi);
-        }
-        controller->BeginTree(std::move(estimates));
+      const Hypertree& tree = plan->tree;  // replans assign through `plan`
+      StatsDecompositionCostModel est_model(h_, edge_stats);
+      std::vector<double> estimates(tree.NumNodes(), 0.0);
+      for (std::size_t p = 0; p < tree.NumNodes(); ++p) {
+        estimates[p] =
+            est_model.VertexRows(tree.node(p).lambda, tree.node(p).chi);
       }
-      answer = EvaluateDecomposition(rq_, catalog_, h_, tree, &run_.ctx);
-      if (answer.ok() || !controller.has_value() || !controller->tripped()) {
-        break;
-      }
+      controller.BeginTree(std::move(estimates));
+      answer = RunBagProgram(plan->bags, rq_, catalog_, &run_.ctx);
+      if (answer.ok() || !controller.tripped()) break;
 
-      // The evaluator tripped: account for the replan, then re-optimize
+      // The executor tripped: account for the replan, then re-optimize
       // with the observed cardinalities pinned.
       ++run_.replans;
       run_.governor.replan_trips += 1;
-      const std::size_t trip_node = controller->tripped_node();
-      const std::size_t actual = controller->tripped_actual();
-      const double estimate = std::max(1.0, controller->tripped_estimate());
+      const std::size_t trip_node = controller.tripped_node();
+      const std::size_t actual = controller.tripped_actual();
+      const double estimate = std::max(1.0, controller.tripped_estimate());
       const double actual_f =
           static_cast<double>(std::max<std::size_t>(1, actual));
       const double error_factor =
@@ -963,9 +950,9 @@ class PipelineRun {
       replan_span->Attr("node", trip_node);
       replan_span->Attr("actual", actual);
       replan_span->Attr("estimate", static_cast<std::size_t>(estimate));
-      replan_span->Attr("checkpoints", controller->checkpoints_stored());
+      replan_span->Attr("checkpoints", controller.checkpoints_stored());
 
-      for (const auto& [atom, rows] : controller->ObservedEdgeRows()) {
+      for (const auto& [atom, rows] : controller.ObservedEdgeRows()) {
         if (atom >= edge_stats.size()) continue;
         const double r = std::max(1.0, static_cast<double>(rows));
         edge_stats[atom].rows = r;
@@ -990,16 +977,14 @@ class PipelineRun {
       // On search failure the current tree stands — the checkpoints still
       // short-circuit its finished subtrees.
       replan_span.reset();
-      controller->set_armed(run_.replans < options_.max_replans);
+      controller.set_armed(run_.replans < options_.max_replans);
     }
-    if (controller.has_value()) {
-      // The controller lives on this frame and must not stay on the
-      // context. Canonical order: the resumed tree may emit rows in a
-      // different order, so every replan-armed run sorts its answer — a
-      // replanned query and its never-replanned twin become byte-identical.
-      run_.ctx.replan = nullptr;
-      if (answer.ok()) answer->SortBy({});
-    }
+    // The controller lives on this frame and must not stay on the context.
+    // Canonical order: the resumed tree may emit rows in a different order,
+    // so every replan-armed run sorts its answer — a replanned query and
+    // its never-replanned twin become byte-identical.
+    run_.ctx.replan = nullptr;
+    if (answer.ok()) answer->SortBy({});
     return answer;
   }
 

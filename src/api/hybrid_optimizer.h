@@ -36,7 +36,7 @@
 #include "exec/operators.h"
 #include "exec/shard.h"
 #include "obs/trace.h"
-#include "opt/qhd_planner.h"
+#include "decomp/qhd.h"
 #include "rewrite/view_rewriter.h"
 #include "stats/statistics.h"
 #include "storage/catalog.h"

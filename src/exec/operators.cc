@@ -215,8 +215,7 @@ std::size_t NumBatches(std::size_t total) {
 // Distinct kernel: indices of the first occurrence of every row of `rel`,
 // in input order. Dedups on one full-row KeyBlock (hashes equal HashRowKey
 // over all columns) with typed equality against the kept rows. Counts one
-// batch per kBatchRows input rows and charges nothing, like
-// Relation::Distinct(). Requires arity > 0. The in-memory distinct and every
+// batch per kBatchRows input rows and charges nothing. Requires arity > 0. The in-memory distinct and every
 // loaded spill partition run this same loop.
 std::vector<uint32_t> DistinctKept(const Relation& rel, ExecContext* ctx) {
   std::vector<std::size_t> all_cols(rel.arity());
@@ -739,7 +738,12 @@ Result<Relation> ProjectByName(const Relation& rel,
 Result<Relation> SpillableDistinct(const Relation& rel, ExecContext* ctx) {
   ScopedSpan op_span(ctx->tracer, "op.distinct", ctx->SpanParent());
   op_span.Attr("rows_in", rel.NumRows());
-  if (rel.arity() == 0 || rel.NumRows() == 0) return rel.Distinct();
+  if (rel.arity() == 0 || rel.NumRows() == 0) {
+    // A zero-arity relation is a boolean: at most one (empty) row survives.
+    Relation out{rel.schema()};
+    if (rel.NumRows() > 0) out.AddRow(std::vector<Value>{});
+    return out;
+  }
   const std::size_t working_bytes = DistinctWorkingBytes(rel);
   if (!ctx->ShouldSpill(working_bytes)) {
     ScopedTableMemory working(ctx, working_bytes);
@@ -754,7 +758,7 @@ Result<Relation> SpillableDistinct(const Relation& rel, ExecContext* ctx) {
   // Grace path: partition on the full-row hash (value-equal rows always
   // share a partition), dedup each partition with the in-memory kernel,
   // keep each survivor's original row index as its tag. Merging by tag
-  // yields exactly Distinct()'s output: the first occurrence of every row,
+  // yields exactly the in-memory output: the first occurrence of every row,
   // in input order.
   ctx->spill->NoteSpillEvent();
   std::vector<std::size_t> all_cols(rel.arity());

@@ -246,9 +246,9 @@ Result<Relation> ProjectByName(const Relation& rel,
                                const std::vector<std::string>& columns,
                                ExecContext* ctx);
 
-// Relation::Distinct with working-set accounting and a Grace-partitioned
-// spill path — byte-identical to Distinct() (first occurrence of every row,
-// in input order) whether or not it spills.
+// Duplicate elimination with working-set accounting and a Grace-partitioned
+// spill path: the first occurrence of every row, in input order, whether or
+// not it spills. A zero-arity input keeps at most one row.
 Result<Relation> SpillableDistinct(const Relation& rel, ExecContext* ctx);
 
 // Column indices of `names` within rel's schema (checked).

@@ -1,5 +1,6 @@
-// Wave scheduling for tree-shaped evaluation passes (Yannakakis semijoin
-// reduction, q-HD bottom-up evaluation).
+// Wave scheduling for tree-shaped evaluation passes: every pass of the
+// bag-program executor (opt/bag_program.h) and the sharded exchange
+// reduction (exec/shard.h).
 //
 // A bottom-up pass computes each node from its (already-computed) children
 // only, so all nodes of equal height are independent; a top-down pass reads
@@ -78,11 +79,9 @@ inline std::vector<std::vector<std::size_t>> DepthWaves(
 }
 
 // Runs node_body over each wave in order, fanning a wave's nodes out onto
-// the context's pool. Callers use this only when ctx->parallel() — the
-// serial engine keeps its original single loops so num_threads=1 is the
-// exact pre-existing behavior — except adaptive (replan-armed) runs, which
-// go through waves in both engines so trip decisions land at the same
-// barriers at any thread count.
+// the context's pool when ctx->parallel(); with one lane they run in wave
+// order on the calling thread. The same waves at every thread count put
+// replan trip decisions at the same barriers.
 //
 // `wave_barrier`, when set, runs on the calling thread after each wave
 // except the last, once every node body of the wave has joined; a non-ok

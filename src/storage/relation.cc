@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "util/fault_injector.h"
-#include "util/hash_chain.h"
 #include "util/strings.h"
 
 namespace htqo {
@@ -43,40 +42,6 @@ Relation Relation::Project(const std::vector<std::size_t>& indices) const {
   }
   if (arity() == 0 || indices.empty()) {
     out.zero_arity_rows_ = NumRows();
-  }
-  return out;
-}
-
-Relation Relation::Distinct() const {
-  Relation out(schema_);
-  if (arity() == 0) {
-    out.zero_arity_rows_ = zero_arity_rows_ > 0 ? 1 : 0;
-    return out;
-  }
-  std::vector<std::size_t> all_cols(arity());
-  for (std::size_t i = 0; i < arity(); ++i) all_cols[i] = i;
-
-  HashChainIndex seen(NumRows());
-  std::vector<std::size_t> kept_hash;
-  kept_hash.reserve(NumRows());
-  out.Reserve(NumRows());
-  for (std::size_t r = 0; r < NumRows(); ++r) {
-    auto row = Row(r);
-    std::size_t h = HashRowKey(row, all_cols);
-    bool dup = false;
-    for (uint32_t it = seen.First(h); it != HashChainIndex::kEnd;
-         it = seen.Next(it)) {
-      if (kept_hash[it] == h &&
-          RowKeysEqual(out.Row(it), all_cols, row, all_cols)) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      seen.Insert(h, out.NumRows());
-      kept_hash.push_back(h);
-      out.AddRow(row);
-    }
   }
   return out;
 }

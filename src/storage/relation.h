@@ -117,9 +117,6 @@ class Relation {
   // Relation with columns at `indices` (in that order), duplicates kept.
   Relation Project(const std::vector<std::size_t>& indices) const;
 
-  // Relation with duplicate rows removed (order not preserved).
-  Relation Distinct() const;
-
   // Sorts rows lexicographically by the given column indices (all columns
   // when empty). Used for canonicalization in tests and ORDER BY.
   void SortBy(const std::vector<std::size_t>& cols);

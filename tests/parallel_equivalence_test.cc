@@ -241,7 +241,8 @@ TEST_P(OracleEquivalenceTest, RunsMatchTheOracleAndTheSerialRun) {
 
   for (OptimizerMode mode :
        {OptimizerMode::kQhdHybrid, OptimizerMode::kDpStatistics,
-        OptimizerMode::kYannakakis, OptimizerMode::kClassicHd}) {
+        OptimizerMode::kYannakakis, OptimizerMode::kClassicHd,
+        OptimizerMode::kTreeDecomposition}) {
     for (bool spill : {false, true}) {
       std::optional<QueryRun> serial;
       bool serial_ok = false;

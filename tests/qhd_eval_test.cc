@@ -1,4 +1,4 @@
-#include "opt/qhd_planner.h"
+#include "opt/bag_program.h"
 
 #include <gtest/gtest.h>
 
@@ -160,7 +160,6 @@ TEST_F(QhdEvalTest, AggregateQueryWithTidsMatchesReference) {
 TEST_F(QhdEvalTest, AlwaysFalseQueryYieldsEmptyAnswer) {
   ResolvedQuery rq =
       Resolve("SELECT DISTINCT r1.a FROM r1 WHERE 1 = 2 AND r1.a = r1.a");
-  Hypergraph h = BuildHypergraph(rq.cq);
   Hypertree hd;
   Bitset chi(rq.cq.vars.size());
   for (VarId v : rq.cq.output_vars) chi.Set(v);
@@ -168,7 +167,7 @@ TEST_F(QhdEvalTest, AlwaysFalseQueryYieldsEmptyAnswer) {
   lambda.Set(0);
   hd.AddNode(chi, lambda);
   ExecContext ctx;
-  auto answer = EvaluateDecomposition(rq, catalog_, h, hd, &ctx);
+  auto answer = RunBagProgram(QhdProgram(rq, hd), rq, catalog_, &ctx);
   ASSERT_TRUE(answer.ok());
   EXPECT_EQ(answer->NumRows(), 0u);
 }
@@ -211,7 +210,8 @@ TEST_P(FirstFeasiblePropertyTest, GuardRichTreesEvaluateCorrectly) {
       auto qhd = QHypertreeDecomp(h, out, model, options);
       if (!qhd.ok()) continue;  // width too small for this topology
       ExecContext ctx;
-      auto answer = EvaluateDecomposition(*rq, catalog, h, qhd->hd, &ctx);
+      auto answer =
+          RunBagProgram(QhdProgram(*rq, qhd->hd), *rq, catalog, &ctx);
       ASSERT_TRUE(answer.ok()) << answer.status().message();
       EXPECT_TRUE(answer->SameRowsAs(*reference))
           << "n=" << n << " chain=" << chain << " k=" << k

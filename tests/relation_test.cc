@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/operators.h"
 #include "storage/catalog.h"
 
 namespace htqo {
@@ -14,6 +15,14 @@ Relation MakeAb() {
   rel.AddRow({Value::Int64(1), Value::Int64(10)});
   rel.AddRow({Value::Int64(3), Value::Int64(30)});
   return rel;
+}
+
+// Duplicate elimination through the engine's distinct.
+Relation Distinct(const Relation& rel) {
+  ExecContext ctx;
+  auto out = SpillableDistinct(rel, &ctx);
+  EXPECT_TRUE(out.ok());
+  return std::move(out.value());
 }
 
 TEST(SchemaTest, IndexOfIsCaseInsensitive) {
@@ -47,8 +56,12 @@ TEST(RelationTest, ProjectKeepsDuplicates) {
 }
 
 TEST(RelationTest, DistinctRemovesDuplicates) {
-  Relation d = MakeAb().Distinct();
+  Relation d = Distinct(MakeAb());
   EXPECT_EQ(d.NumRows(), 3u);
+  // First occurrence of every row, in input order.
+  EXPECT_EQ(d.At(0, 0), Value::Int64(1));
+  EXPECT_EQ(d.At(1, 0), Value::Int64(2));
+  EXPECT_EQ(d.At(2, 0), Value::Int64(3));
 }
 
 TEST(RelationTest, SortAscendingAndDescending) {
@@ -69,7 +82,7 @@ TEST(RelationTest, SameRowsAsIgnoresOrder) {
 
 TEST(RelationTest, SameRowsAsIsMultisetSensitive) {
   Relation a = MakeAb();
-  Relation b = MakeAb().Distinct();
+  Relation b = Distinct(MakeAb());
   EXPECT_FALSE(a.SameRowsAs(b));  // duplicate counts differ
 }
 
@@ -79,8 +92,9 @@ TEST(RelationTest, ZeroArityRowsActAsBoolean) {
   rel.AddRow(std::vector<Value>{});
   rel.AddRow(std::vector<Value>{});
   EXPECT_EQ(rel.NumRows(), 2u);
-  Relation d = rel.Distinct();
+  Relation d = Distinct(rel);
   EXPECT_EQ(d.NumRows(), 1u);
+  EXPECT_EQ(Distinct(Relation{Schema()}).NumRows(), 0u);
 }
 
 TEST(CatalogTest, PutFindGet) {
@@ -98,14 +112,14 @@ TEST(CatalogTest, PutFindGet) {
 TEST(CatalogTest, PutReplaces) {
   Catalog catalog;
   catalog.Put("foo", MakeAb());
-  catalog.Put("foo", MakeAb().Distinct());
+  catalog.Put("foo", Distinct(MakeAb()));
   EXPECT_EQ(catalog.Find("foo")->NumRows(), 3u);
 }
 
 TEST(CatalogTest, OverlayReadsThroughAndShadowsWithoutCopying) {
   Catalog base;
   base.Put("foo", MakeAb());
-  base.Put("bar", MakeAb().Distinct());
+  base.Put("bar", Distinct(MakeAb()));
   Catalog overlay(&base);
   // Fallback hands out the parent's own relation, not a copy.
   EXPECT_EQ(overlay.Find("FOO"), base.Find("foo"));

@@ -1,4 +1,4 @@
-#include "opt/yannakakis.h"
+#include "opt/bag_program.h"
 
 #include <gtest/gtest.h>
 
@@ -48,7 +48,16 @@ class YannakakisTest : public ::testing::Test {
     Hypergraph h = BuildHypergraph(rq.cq);
     auto forest = BuildJoinForest(h);
     if (!forest.ok()) return forest.status();
-    return YannakakisEvaluate(rq, catalog_, h, *forest, ctx);
+    return RunBagProgram(YannakakisProgram(rq, h, *forest), rq, catalog_,
+                         ctx);
+  }
+
+  // The classic S2'/S2'' pipeline over the complete decomposition `hd`.
+  Result<Relation> Classic(const ResolvedQuery& rq, const Hypergraph& h,
+                           const Hypertree& hd, ExecContext* ctx) {
+    auto program = ClassicProgram(rq, h, hd);
+    if (!program.ok()) return program.status();
+    return RunBagProgram(*program, rq, catalog_, ctx);
   }
 
   Catalog catalog_;
@@ -125,8 +134,7 @@ TEST_F(ClassicHdTest, ChainQueriesMatchReference) {
     ASSERT_TRUE(hd.ok());
     CompleteDecomposition(h, &hd.value());
     ExecContext ctx;
-    auto answer =
-        EvaluateDecompositionClassic(rq, catalog_, h, *hd, &ctx);
+    auto answer = Classic(rq, h, *hd, &ctx);
     ASSERT_TRUE(answer.ok()) << answer.status().message();
     EXPECT_TRUE(answer->SameRowsAs(ReferenceAnswer(rq))) << n;
   }
@@ -143,7 +151,7 @@ TEST_F(ClassicHdTest, RejectsOptimizedDecompositions) {
   ASSERT_TRUE(qhd.ok());
   ASSERT_GT(qhd->pruned, 0u);
   ExecContext ctx;
-  auto answer = EvaluateDecompositionClassic(rq, catalog_, h, qhd->hd, &ctx);
+  auto answer = Classic(rq, h, qhd->hd, &ctx);
   ASSERT_FALSE(answer.ok());
   EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument);
 }

@@ -231,14 +231,16 @@ fi
 if $want_tsan; then
   # TSan over the tests that actually exercise the thread pool, the atomic
   # governor/meter counters, and the parallel kernels: the parallel
-  # equivalence suite, the governor suite, and the fault-injection sweep.
+  # equivalence suite, the governor suite, the fault-injection sweep, and
+  # the suites that drive the bag-program executor on more than one lane.
+  # CI's `tsan` job runs the same regex.
   echo "==> sanitized build (TSan)"
   cmake -B build-tsan -S . -DHTQO_SANITIZE=thread
   require_sanitize build-tsan thread
   cmake --build build-tsan -j"$(nproc)"
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-      -R 'Parallel|Threading|ThreadPool|Governor|ExecContext|Fault|Server|Admission|Shard'
+      -R 'Parallel|Threading|ThreadPool|Governor|ExecContext|Fault|Server|Admission|Shard|Oracle|Pipeline|AdaptiveReplan|QhdEval|Yannakakis|ClassicHd'
 fi
 
 if $want_adaptive; then
