@@ -367,31 +367,26 @@ Result<QueryRun> HybridOptimizer::RunStatement(const SelectStatement& stmt,
 namespace {
 
 constexpr std::size_t kNoLimit = std::numeric_limits<std::size_t>::max();
-using EdgeStats = StatsDecompositionCostModel::EdgeStats;
 
-std::vector<EdgeStats> LookupEdgeStats(const ResolvedQuery& rq,
-                                       const StatisticsRegistry* stats,
-                                       Tracer* tracer) {
+// The query's cardinality estimate, under its own stats.lookup span.
+CardinalityEstimate LookupEstimate(const ResolvedQuery& rq,
+                                   const StatisticsRegistry* stats,
+                                   Tracer* tracer) {
   ScopedSpan span(tracer, "stats.lookup");
-  Estimator estimator(stats);
-  return BuildEdgeStats(rq.cq, estimator);
+  return BuildEdgeStats(rq.cq, Estimator(stats));
 }
 
-// Algorithm q-HypertreeDecomp (Fig. 4) under one of three cost models: the
-// statistics model, the structural model, or the statistics model on
-// `pinned` edge statistics (mid-query replanning's observed cardinalities).
+// Algorithm q-HypertreeDecomp (Fig. 4) under the statistics or the
+// structural cost model.
 Result<QhdResult> SearchQhd(const ResolvedQuery& rq, const Hypergraph& h,
                             const Bitset& out_vars,
                             const StatisticsRegistry* stats,
-                            bool use_statistics,
-                            const std::vector<EdgeStats>* pinned,
-                            const QhdOptions& qopt) {
-  if (!use_statistics && pinned == nullptr) {
+                            bool use_statistics, const QhdOptions& qopt) {
+  if (!use_statistics) {
     StructuralCostModel model;
     return QHypertreeDecomp(h, out_vars, model, qopt);
   }
-  StatsDecompositionCostModel model(
-      h, pinned != nullptr ? *pinned : LookupEdgeStats(rq, stats, qopt.tracer));
+  StatsDecompositionCostModel model(h, LookupEstimate(rq, stats, qopt.tracer));
   return QHypertreeDecomp(h, out_vars, model, qopt);
 }
 
@@ -683,7 +678,7 @@ class PipelineRun {
       case RungKind::kClassicHd: {
         // No out(Q) rooting, no Optimize: the pre-q-HD pipeline.
         StatsDecompositionCostModel model(
-            h_, LookupEdgeStats(rq_, stats_, tracer_));
+            h_, LookupEstimate(rq_, stats_, tracer_));
         span.Attr("max_width", options_.max_width);
         auto hd = CostKDecomp(h_, options_.max_width, model,
                               /*root_conn=*/nullptr, gov, run_.ctx.pool,
@@ -719,12 +714,8 @@ class PipelineRun {
         break;
       }
       case RungKind::kDp: {
-        std::optional<ScopedSpan> stats_span(std::in_place, tracer_,
-                                             "stats.lookup");
-        Estimator estimator(stats_);
-        JoinGraph graph = BuildJoinGraph(rq_, estimator);
+        const JoinGraph graph = LookupEstimate(rq_, stats_, tracer_);
         PlanCostModel cost(graph);
-        stats_span.reset();
         // Left-deep System-R search: the plan space of the commercial
         // optimizers the paper benchmarked against. (Bushy DP is available
         // via DpOptions for library users.)
@@ -740,8 +731,7 @@ class PipelineRun {
         // No statistics: the estimator runs on PostgreSQL-style defaults,
         // and the optimizer prefers nested loops for inputs it believes are
         // small — which, under default estimates, is all of them.
-        Estimator estimator(nullptr);
-        JoinGraph graph = BuildJoinGraph(rq_, estimator);
+        const JoinGraph graph = BuildEdgeStats(rq_.cq, Estimator(nullptr));
         PlanCostModel cost(graph);
         GeqoOptions geqo;
         geqo.seed = options_.seed;
@@ -782,8 +772,7 @@ class PipelineRun {
     const bool run_optimize = qopt.run_optimize;
     qopt.run_optimize = false;
     auto search = [&] {
-      return SearchQhd(rq_, h_, out_vars_, stats_, use_statistics_, nullptr,
-                       qopt);
+      return SearchQhd(rq_, h_, out_vars_, stats_, use_statistics_, qopt);
     };
     Result<QhdResult> decomp = Status::Internal("unset");
     if (options_.use_plan_cache) {
@@ -899,7 +888,7 @@ class PipelineRun {
   // The q-HD bag program of `plan` with adaptive mid-query re-planning
   // (DESIGN.md §6h). With the controller on the context, the executor backs
   // out when an intermediate blows past its estimate; the observed scan
-  // cardinalities are then pinned into the edge statistics, the search is
+  // cardinalities are then pinned into the query's estimate, the search is
   // re-entered at the same width bound, and evaluation resumes —
   // checkpointed subtree results carry over. Structural mode re-plans with
   // the stats model on defaults: the pins land either way.
@@ -910,17 +899,17 @@ class PipelineRun {
     ReplanController controller(ropt);
     controller.set_armed(options_.max_replans > 0);
     run_.ctx.replan = &controller;
-    Estimator estimator(stats_);
-    std::vector<EdgeStats> edge_stats = BuildEdgeStats(rq_.cq, estimator);
+    // The tree's node estimates and every replanning search read this one
+    // model; observed scans are pinned into it between searches.
+    StatsDecompositionCostModel model(
+        h_, BuildEdgeStats(rq_.cq, Estimator(stats_)));
 
     Result<Relation> answer = Status::Internal("unset");
     for (;;) {
       const Hypertree& tree = plan->tree;  // replans assign through `plan`
-      StatsDecompositionCostModel est_model(h_, edge_stats);
       std::vector<double> estimates(tree.NumNodes(), 0.0);
       for (std::size_t p = 0; p < tree.NumNodes(); ++p) {
-        estimates[p] =
-            est_model.VertexRows(tree.node(p).lambda, tree.node(p).chi);
+        estimates[p] = model.VertexRows(tree.node(p).lambda, tree.node(p).chi);
       }
       controller.BeginTree(std::move(estimates));
       answer = RunBagProgram(plan->bags, rq_, catalog_, &run_.ctx);
@@ -953,21 +942,15 @@ class PipelineRun {
       replan_span->Attr("checkpoints", controller.checkpoints_stored());
 
       for (const auto& [atom, rows] : controller.ObservedEdgeRows()) {
-        if (atom >= edge_stats.size()) continue;
-        const double r = std::max(1.0, static_cast<double>(rows));
-        edge_stats[atom].rows = r;
-        for (auto& [var, distinct] : edge_stats[atom].distinct) {
-          (void)var;
-          distinct = std::min(distinct, r);
-        }
+        if (atom < h_.NumEdges()) model.Pin(atom, static_cast<double>(rows));
       }
 
       // Fresh node/memory budgets for the re-planning search and the
       // resumed evaluation; the wall deadline keeps running. The pinned
       // search bypasses the plan cache: it is specific to this execution.
       const auto replan_start = std::chrono::steady_clock::now();
-      auto re = SearchQhd(rq_, h_, out_vars_, stats_, use_statistics_,
-                          &edge_stats, QhdSearchOptions(width, BeginAttempt()));
+      auto re = QHypertreeDecomp(h_, out_vars_, model,
+                                 QhdSearchOptions(width, BeginAttempt()));
       run_.plan_seconds += SecondsSince(replan_start);
       if (re.ok()) {
         *plan = RootedPlan(std::move(re.value()),
@@ -1036,7 +1019,7 @@ Result<RewrittenQuery> HybridOptimizer::RewriteQuery(
   auto decomp = SearchQhd(
       *rq, h, out_vars, stats_,
       options.mode != OptimizerMode::kQhdStructural && stats_ != nullptr,
-      /*pinned=*/nullptr, qhd);
+      qhd);
   if (!decomp.ok()) return decomp.status();
   return RewriteAsViews(*rq, h, decomp->hd);
 }

@@ -4,9 +4,11 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "util/thread_pool.h"
 
@@ -15,7 +17,8 @@ namespace htqo {
 double StructuralCostModel::VertexRows(const Bitset& lambda,
                                        const Bitset& chi) const {
   (void)chi;
-  return std::pow(default_rows_, static_cast<double>(lambda.Count()));
+  return std::pow(CardinalityEstimate::kDefaultRows,
+                  static_cast<double>(lambda.Count()));
 }
 
 double StructuralCostModel::VertexCost(const Bitset& lambda,
@@ -23,48 +26,13 @@ double StructuralCostModel::VertexCost(const Bitset& lambda,
   return VertexRows(lambda, chi);
 }
 
-double StatsDecompositionCostModel::DistinctOf(std::size_t v,
-                                               const Bitset& lambda) const {
-  double best = 0;
-  for (std::size_t e = lambda.FirstSet(); e < lambda.size();
-       e = lambda.NextSet(e)) {
-    if (!h_.edge(e).Test(v)) continue;
-    auto it = edges_[e].distinct.find(v);
-    double d = it != edges_[e].distinct.end() ? it->second : edges_[e].rows;
-    best = std::max(best, d);
-  }
-  return best > 0 ? best : 1000.0;
-}
-
-double StatsDecompositionCostModel::JoinRows(const Bitset& lambda) const {
-  double rows = 1.0;
-  for (std::size_t e = lambda.FirstSet(); e < lambda.size();
-       e = lambda.NextSet(e)) {
-    rows *= std::max(1.0, edges_[e].rows);
-  }
-  Bitset vars = h_.VarsOf(lambda);
-  for (std::size_t v = vars.FirstSet(); v < vars.size(); v = vars.NextSet(v)) {
-    std::size_t occurrences = 0;
-    for (std::size_t e = lambda.FirstSet(); e < lambda.size();
-         e = lambda.NextSet(e)) {
-      if (h_.edge(e).Test(v)) ++occurrences;
-    }
-    if (occurrences >= 2) {
-      double d = DistinctOf(v, lambda);
-      rows /= std::pow(std::max(1.0, d),
-                       static_cast<double>(occurrences - 1));
-    }
-  }
-  return std::max(1.0, rows);
-}
-
 double StatsDecompositionCostModel::VertexRows(const Bitset& lambda,
                                                const Bitset& chi) const {
-  double join_rows = JoinRows(lambda);
+  double join_rows = estimate_.JoinRows(lambda);
   // Projection onto chi: cannot exceed the product of distinct counts.
   double cap = 1.0;
   for (std::size_t v = chi.FirstSet(); v < chi.size(); v = chi.NextSet(v)) {
-    cap *= DistinctOf(v, lambda);
+    cap *= estimate_.DistinctOf(v, lambda);
     if (cap >= join_rows) return join_rows;  // early out, cap not binding
   }
   return std::max(1.0, std::min(join_rows, cap));
@@ -80,12 +48,12 @@ double StatsDecompositionCostModel::VertexCost(const Bitset& lambda,
   std::vector<std::size_t> edges = lambda.ToVector();
   if (edges.empty()) return 0.0;
   std::sort(edges.begin(), edges.end(), [&](std::size_t a, std::size_t b) {
-    return edges_[a].rows < edges_[b].rows;
+    return estimate_.rows(a) < estimate_.rows(b);
   });
   Bitset subset(lambda.size());
   subset.Set(edges[0]);
-  Bitset covered = h_.edge(edges[0]);
-  double cost = std::max(1.0, edges_[edges[0]].rows);
+  Bitset covered = estimate_.vars(edges[0]);
+  double cost = std::max(1.0, estimate_.rows(edges[0]));
   std::vector<bool> used(edges.size(), false);
   used[0] = true;
   for (std::size_t step = 1; step < edges.size(); ++step) {
@@ -93,7 +61,7 @@ double StatsDecompositionCostModel::VertexCost(const Bitset& lambda,
     bool best_connected = false;
     for (std::size_t i = 0; i < edges.size(); ++i) {
       if (used[i]) continue;
-      bool conn = h_.edge(edges[i]).Intersects(covered);
+      bool conn = estimate_.vars(edges[i]).Intersects(covered);
       if (best == edges.size() || (conn && !best_connected)) {
         best = i;
         best_connected = conn;
@@ -101,8 +69,9 @@ double StatsDecompositionCostModel::VertexCost(const Bitset& lambda,
     }
     used[best] = true;
     subset.Set(edges[best]);
-    covered |= h_.edge(edges[best]);
-    cost += JoinRows(subset) + std::max(1.0, edges_[edges[best]].rows);
+    covered |= estimate_.vars(edges[best]);
+    cost += estimate_.JoinRows(subset) +
+            std::max(1.0, estimate_.rows(edges[best]));
   }
   return cost;
 }

@@ -11,17 +11,18 @@
 // under a pluggable DecompositionCostModel (the first strict minimum in
 // enumeration order). Without one, it keeps the first separator whose
 // children all decompose — det-k-decomp (det_k_decomp.h). With statistics,
-// the model estimates intermediate-result sizes; without, a purely
-// structural model is used (the hybrid/structural axis of Section 6).
+// the model prices intermediate results from the query's CardinalityEstimate
+// (stats/cardinality.h); without, a purely structural model is used (the
+// hybrid/structural axis of Section 6).
 
 #ifndef HTQO_DECOMP_COST_K_DECOMP_H_
 #define HTQO_DECOMP_COST_K_DECOMP_H_
 
-#include <map>
-#include <vector>
+#include <utility>
 
 #include "decomp/hypertree.h"
 #include "hypergraph/hypergraph.h"
+#include "stats/cardinality.h"
 #include "util/governor.h"
 #include "util/status.h"
 
@@ -46,53 +47,36 @@ class DecompositionCostModel {
   }
 };
 
-// No-statistics model: every edge contributes a default cardinality; the
-// cost is dominated by the number of joined edges per vertex, so the search
-// degenerates to "prefer narrow lambda labels" — a purely structural method.
+// No-statistics model: every edge contributes the default cardinality
+// (CardinalityEstimate::kDefaultRows); the cost is dominated by the number
+// of joined edges per vertex, so the search degenerates to "prefer narrow
+// lambda labels" — a purely structural method.
 class StructuralCostModel : public DecompositionCostModel {
  public:
-  explicit StructuralCostModel(double default_rows = 1000.0)
-      : default_rows_(default_rows) {}
-
   double VertexRows(const Bitset& lambda, const Bitset& chi) const override;
   double VertexCost(const Bitset& lambda, const Bitset& chi) const override;
-
- private:
-  double default_rows_;
 };
 
-// Statistics-driven model. Per hyperedge: estimated rows (after atom-local
-// filters) and per-variable distinct counts. Join size estimation follows
-// the textbook formula: product of edge cardinalities divided, per shared
-// variable, by max(V)^(occurrences-1); projection onto chi caps the result
-// by the product of the chi variables' distinct counts.
+// Statistics-driven model: a vertex's rows are the estimate's JoinRows of
+// lambda, capped by the product of the chi variables' distinct counts
+// (projection onto chi). Atom index == edge index.
 class StatsDecompositionCostModel : public DecompositionCostModel {
  public:
-  struct EdgeStats {
-    double rows = 1000.0;
-    // distinct value estimate per hypergraph vertex bound by this edge
-    std::map<std::size_t, double> distinct;
-  };
-
-  StatsDecompositionCostModel(const Hypergraph& h,
-                              std::vector<EdgeStats> edges)
-      : h_(h), edges_(std::move(edges)) {
-    HTQO_CHECK(edges_.size() == h.NumEdges());
+  StatsDecompositionCostModel(const Hypergraph& h, CardinalityEstimate estimate)
+      : estimate_(std::move(estimate)) {
+    HTQO_CHECK(estimate_.num_atoms() == h.NumEdges());
   }
 
   double VertexRows(const Bitset& lambda, const Bitset& chi) const override;
   double VertexCost(const Bitset& lambda, const Bitset& chi) const override;
 
-  // Estimated join size of the edges in `lambda` (before projection).
-  double JoinRows(const Bitset& lambda) const;
-
-  // Largest distinct-count estimate for vertex `v` among edges of `lambda`
-  // containing it (falls back to 1000 when unknown).
-  double DistinctOf(std::size_t v, const Bitset& lambda) const;
+  // Mid-query replanning's observed rows; never while a search runs.
+  void Pin(std::size_t edge, double observed_rows) {
+    estimate_.Pin(edge, observed_rows);
+  }
 
  private:
-  const Hypergraph& h_;
-  std::vector<EdgeStats> edges_;
+  CardinalityEstimate estimate_;
 };
 
 class ThreadPool;

@@ -1,7 +1,5 @@
 #include "decomp/qhd.h"
 
-#include <algorithm>
-
 #include "decomp/optimize.h"
 
 namespace htqo {
@@ -91,51 +89,6 @@ Result<QhdResult> QHypertreeDecomp(const Hypergraph& h, const Bitset& out_vars,
     }
   }
   return result;
-}
-
-std::vector<StatsDecompositionCostModel::EdgeStats> BuildEdgeStats(
-    const ConjunctiveQuery& cq, const Estimator& estimator) {
-  std::vector<StatsDecompositionCostModel::EdgeStats> out;
-  out.reserve(cq.atoms.size());
-  for (const Atom& atom : cq.atoms) {
-    StatsDecompositionCostModel::EdgeStats stats;
-    double rows = estimator.Rows(atom.relation);
-    for (const AtomFilter& f : atom.filters) {
-      if (!f.in_values.empty() || f.negated) {
-        // IN list: sum of per-value equality selectivities, capped;
-        // NOT IN keeps the complement.
-        double sel = 0;
-        for (const Value& v : f.in_values) {
-          sel += estimator.ConstantSelectivity(atom.relation, f.column, "=",
-                                               v);
-        }
-        sel = std::min(1.0, sel);
-        rows *= f.negated ? std::max(0.0, 1.0 - sel) : sel;
-      } else {
-        rows *= estimator.ConstantSelectivity(atom.relation, f.column,
-                                              CompareOpSymbol(f.op), f.value);
-      }
-    }
-    rows = std::max(1.0, rows);
-    stats.rows = rows;
-    for (const AtomBinding& b : atom.bindings) {
-      double distinct =
-          std::min(estimator.DistinctCount(atom.relation, b.column), rows);
-      auto it = stats.distinct.find(b.var);
-      if (it == stats.distinct.end()) {
-        stats.distinct[b.var] = std::max(1.0, distinct);
-      } else {
-        // A variable bound to several columns of the same atom: keep the
-        // tighter bound.
-        it->second = std::max(1.0, std::min(it->second, distinct));
-      }
-    }
-    if (atom.has_tid) {
-      stats.distinct[atom.tid_var] = rows;  // tuple ids are unique
-    }
-    out.push_back(std::move(stats));
-  }
-  return out;
 }
 
 }  // namespace htqo

@@ -12,16 +12,18 @@
 //      relation exactly once;
 //   3. Procedure Optimize (unless disabled), pruning redundant lambda
 //      entries and recording evaluation priorities.
+//
+// The statistics cost model prices the search from BuildEdgeStats(cq,
+// estimator), the query's CardinalityEstimate (stats/cardinality.h).
 
 #ifndef HTQO_DECOMP_QHD_H_
 #define HTQO_DECOMP_QHD_H_
 
-#include "cq/conjunctive_query.h"
 #include "decomp/cost_k_decomp.h"
 #include "decomp/hypertree.h"
 #include "hypergraph/hypergraph.h"
 #include "obs/trace.h"
-#include "stats/estimator.h"
+#include "stats/cardinality.h"
 #include "util/status.h"
 
 namespace htqo {
@@ -67,12 +69,6 @@ std::size_t CompleteDecomposition(const Hypergraph& h, Hypertree* hd);
 Result<QhdResult> QHypertreeDecomp(const Hypergraph& h, const Bitset& out_vars,
                                    const DecompositionCostModel& model,
                                    const QhdOptions& options = QhdOptions());
-
-// Builds the per-edge statistics views for a CQ: estimated rows after
-// atom-local filters and per-variable distinct counts. Works with or without
-// gathered statistics (the Estimator supplies defaults).
-std::vector<StatsDecompositionCostModel::EdgeStats> BuildEdgeStats(
-    const ConjunctiveQuery& cq, const Estimator& estimator);
 
 }  // namespace htqo
 

@@ -1,8 +1,8 @@
 // Plan-cost estimation for join plans (the quantitative side of the hybrid
-// optimizer). Join cardinalities use the standard formula over the join
-// graph; operator costs charge |L|+|R|+|out| for hash joins and |L|·|R| for
-// nested loops — the same units ExecContext meters at run time, so estimated
-// and measured work are directly comparable.
+// optimizer). Join cardinalities are the join graph's CardinalityEstimate,
+// memoized per atom set (single-threaded); operator costs charge
+// |L|+|R|+|out| for hash joins and |L|·|R| for nested loops — the units
+// ExecContext meters at run time, so estimated and measured work compare.
 
 #ifndef HTQO_OPT_COST_MODEL_H_
 #define HTQO_OPT_COST_MODEL_H_
@@ -20,9 +20,6 @@ class PlanCostModel {
 
   // Estimated rows of the natural join of the given atom set (memoized).
   double RowsOf(const Bitset& atoms) const;
-
-  // Estimated rows of joining two disjoint atom sets.
-  double JoinRows(const Bitset& left, const Bitset& right) const;
 
   // Work of one join operator application.
   double JoinWork(double left_rows, double right_rows, double out_rows,

@@ -23,7 +23,7 @@ struct DpEntry {
 Result<std::unique_ptr<JoinPlan>> DpOptimize(const JoinGraph& graph,
                                              const PlanCostModel& cost,
                                              const DpOptions& options) {
-  const std::size_t n = graph.num_atoms;
+  const std::size_t n = graph.num_atoms();
   if (n == 0) return Status::InvalidArgument("empty join graph");
   if (n > 20) {
     return Status::InvalidArgument("DP optimizer supports at most 20 atoms");
@@ -40,13 +40,13 @@ Result<std::unique_ptr<JoinPlan>> DpOptimize(const JoinGraph& graph,
   const uint32_t full = n == 32 ? ~uint32_t{0} : (uint32_t{1} << n) - 1;
   std::vector<DpEntry> dp(full + 1);
   std::vector<double> rows(full + 1, 0);
-  std::vector<Bitset> vars(full + 1, Bitset(graph.num_vars));
+  std::vector<Bitset> vars(full + 1, Bitset(graph.num_vars()));
 
   for (std::size_t i = 0; i < n; ++i) {
     uint32_t mask = uint32_t{1} << i;
-    dp[mask].cost = std::max(1.0, graph.atom_rows[i]);
-    rows[mask] = std::max(1.0, graph.atom_rows[i]);
-    vars[mask] = graph.atom_vars[i];
+    dp[mask].cost = std::max(1.0, graph.rows(i));
+    rows[mask] = std::max(1.0, graph.rows(i));
+    vars[mask] = graph.vars(i);
   }
 
   auto pick_algo = [&](double rrows) {

@@ -13,10 +13,10 @@ std::unique_ptr<JoinPlan> LeftDeepPlan(const std::vector<std::size_t>& order,
                                        double nested_loop_threshold) {
   HTQO_CHECK(!order.empty());
   std::unique_ptr<JoinPlan> plan = JoinPlan::Leaf(order[0]);
-  Bitset acc(graph.num_atoms);
+  Bitset acc(graph.num_atoms());
   acc.Set(order[0]);
   for (std::size_t i = 1; i < order.size(); ++i) {
-    Bitset single(graph.num_atoms);
+    Bitset single(graph.num_atoms());
     single.Set(order[i]);
     double inner_rows = cost.RowsOf(single);
     JoinAlgo algo = inner_rows <= nested_loop_threshold
@@ -31,7 +31,7 @@ std::unique_ptr<JoinPlan> LeftDeepPlan(const std::vector<std::size_t>& order,
 Result<std::unique_ptr<JoinPlan>> GeqoOptimize(const JoinGraph& graph,
                                                const PlanCostModel& cost,
                                                const GeqoOptions& options) {
-  const std::size_t n = graph.num_atoms;
+  const std::size_t n = graph.num_atoms();
   if (n == 0) return Status::InvalidArgument("empty join graph");
 
   Rng rng(options.seed);

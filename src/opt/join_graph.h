@@ -1,37 +1,25 @@
-// Join graph: the quantitative optimizer's view of a CQ. One node per atom
-// with estimated cardinality (after atom-local filters) and per-variable
-// distinct counts; atoms are adjacent when they share a variable.
+// Join graph: the quantitative optimizer's view of a CQ — the query's
+// CardinalityEstimate (stats/cardinality.h), which the decomposition search
+// reads too. Atoms are adjacent when they share a variable:
+// VarsOf(a).Intersects(VarsOf(b)).
 
 #ifndef HTQO_OPT_JOIN_GRAPH_H_
 #define HTQO_OPT_JOIN_GRAPH_H_
 
-#include <map>
-#include <vector>
-
 #include "cq/isolator.h"
+#include "stats/cardinality.h"
 #include "stats/estimator.h"
-#include "util/bitset.h"
 
 namespace htqo {
 
-struct JoinGraph {
-  std::size_t num_atoms = 0;
-  std::size_t num_vars = 0;
-  std::vector<double> atom_rows;       // estimated rows per atom
-  std::vector<Bitset> atom_vars;       // variables per atom (over CQ vars)
-  // distinct-count estimate per (atom, var)
-  std::vector<std::map<VarId, double>> distinct;
-
-  // True when the atom sets share at least one variable.
-  bool Connected(const Bitset& a, const Bitset& b) const;
-
-  // Variables of an atom set.
-  Bitset VarsOf(const Bitset& atoms) const;
-};
+using JoinGraph = CardinalityEstimate;
 
 // Builds the join graph from the CQ using `estimator` (which may be running
 // on defaults when no statistics were gathered).
-JoinGraph BuildJoinGraph(const ResolvedQuery& rq, const Estimator& estimator);
+inline JoinGraph BuildJoinGraph(const ResolvedQuery& rq,
+                                const Estimator& estimator) {
+  return BuildEdgeStats(rq.cq, estimator);
+}
 
 }  // namespace htqo
 

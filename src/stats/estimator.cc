@@ -110,19 +110,4 @@ double Estimator::ConstantSelectivity(const std::string& relation,
   return defaults_.range_selectivity;
 }
 
-double Estimator::JoinSelectivity(const std::string& left, std::size_t lcol,
-                                  const std::string& right,
-                                  std::size_t rcol) const {
-  const RelationStats* ls = StatsFor(left);
-  const RelationStats* rs = StatsFor(right);
-  if (ls == nullptr || rs == nullptr || lcol >= ls->columns.size() ||
-      rcol >= rs->columns.size() || ls->columns[lcol].distinct_count == 0 ||
-      rs->columns[rcol].distinct_count == 0) {
-    return defaults_.join_selectivity;
-  }
-  double vl = std::max<double>(1.0, ls->columns[lcol].distinct_count);
-  double vr = std::max<double>(1.0, rs->columns[rcol].distinct_count);
-  return 1.0 / std::max(vl, vr);
-}
-
 }  // namespace htqo

@@ -3,7 +3,8 @@
 //
 // Two regimes:
 //   * With statistics: equality selectivity 1/V(R,a), range selectivity from
-//     min/max interpolation, join size |R||S| / max(V(R,a), V(S,b)).
+//     min/max interpolation; join sizes are the CardinalityEstimate's
+//     (stats/cardinality.h), built from these answers.
 //   * Without statistics: PostgreSQL-style magic defaults (DEFAULT_EQ_SEL
 //     etc.) and a default relation cardinality, reproducing the
 //     "statistics disabled" optimizer regime of Section 6.
@@ -22,7 +23,6 @@ struct EstimatorDefaults {
   double default_rows = 1000.0;      // unknown relation cardinality
   double eq_selectivity = 0.005;     // PostgreSQL DEFAULT_EQ_SEL
   double range_selectivity = 1.0 / 3.0;  // PostgreSQL DEFAULT_INEQ_SEL
-  double join_selectivity = 0.01;    // unknown equi-join selectivity
 };
 
 class Estimator {
@@ -46,13 +46,6 @@ class Estimator {
   double ConstantSelectivity(const std::string& relation, std::size_t column,
                              const std::string& op, const Value& constant)
       const;
-
-  // Selectivity of the equi-join predicate left.lcol = right.rcol, i.e. the
-  // fraction of the cross product that survives: 1 / max(V(l), V(r)).
-  double JoinSelectivity(const std::string& left, std::size_t lcol,
-                         const std::string& right, std::size_t rcol) const;
-
-  const EstimatorDefaults& defaults() const { return defaults_; }
 
  private:
   const RelationStats* StatsFor(const std::string& relation) const;

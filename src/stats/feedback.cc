@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <set>
 
 #include "obs/metrics.h"
-#include "sql/ast.h"
-#include "stats/estimator.h"
+#include "stats/cardinality.h"
 #include "util/fault_injector.h"
 
 namespace htqo {
@@ -24,36 +22,6 @@ double ErrorFactor(double estimated, double actual) {
 }
 
 }  // namespace
-
-std::vector<double> EstimateAtomRows(const ConjunctiveQuery& cq,
-                                     const StatisticsRegistry* stats) {
-  // Mirrors the row half of BuildEdgeStats (decomp/qhd.cc): base cardinality
-  // times the local filters' selectivities, floored at one row. Kept here —
-  // not shared — because htqo_stats sits below htqo_decomp in the library
-  // DAG.
-  Estimator estimator(stats);
-  std::vector<double> out;
-  out.reserve(cq.atoms.size());
-  for (const Atom& atom : cq.atoms) {
-    double rows = estimator.Rows(atom.relation);
-    for (const AtomFilter& f : atom.filters) {
-      if (!f.in_values.empty() || f.negated) {
-        double sel = 0;
-        for (const Value& v : f.in_values) {
-          sel += estimator.ConstantSelectivity(atom.relation, f.column, "=",
-                                               v);
-        }
-        sel = std::min(1.0, sel);
-        rows *= f.negated ? std::max(0.0, 1.0 - sel) : sel;
-      } else {
-        rows *= estimator.ConstantSelectivity(atom.relation, f.column,
-                                              CompareOpSymbol(f.op), f.value);
-      }
-    }
-    out.push_back(std::max(1.0, rows));
-  }
-  return out;
-}
 
 FeedbackReport FeedbackCollector::Reconcile(const ResolvedQuery& rq,
                                             const Tracer& tracer) {
@@ -81,7 +49,7 @@ FeedbackReport FeedbackCollector::Reconcile(const ResolvedQuery& rq,
 FeedbackReport FeedbackCollector::ReconcileActuals(
     const ConjunctiveQuery& cq, const std::vector<std::size_t>& actuals) {
   FeedbackReport report;
-  const std::vector<double> estimates = EstimateAtomRows(cq, stats_);
+  const CardinalityEstimate estimate = BuildEdgeStats(cq, Estimator(stats_));
   MetricsRegistry& metrics = MetricsRegistry::Global();
   // Relations to refresh, deduplicated in first-divergence order so the
   // stats.feedback fault site sees a deterministic hit sequence.
@@ -92,10 +60,10 @@ FeedbackReport FeedbackCollector::ReconcileActuals(
     FeedbackReport::AtomError err;
     err.atom_index = a;
     err.relation = cq.atoms[a].relation;
-    err.estimated_rows = estimates[a];
+    err.estimated_rows = estimate.rows(a);
     err.actual_rows = actuals[a];
     err.error_factor =
-        ErrorFactor(estimates[a], static_cast<double>(actuals[a]));
+        ErrorFactor(err.estimated_rows, static_cast<double>(actuals[a]));
     report.max_error_factor =
         std::max(report.max_error_factor, err.error_factor);
     metrics.GetHistogram(kMetricEstimateErrorFactor)

@@ -3,9 +3,9 @@
 //
 // EXPLAIN ANALYZE traces already record every operator's true cardinality;
 // a FeedbackCollector mines the op.scan spans of a finished query, compares
-// each atom's actual row count against what the estimator would have
-// predicted from the current statistics, and — when the error factor
-// crosses a threshold — re-analyzes the affected base relations in place.
+// each atom's actual row count against its rows in the query's
+// CardinalityEstimate under the current statistics, and — when the error
+// factor crosses a threshold — re-analyzes the affected base relations.
 // StatisticsRegistry::Put bumps the relation's stats epoch, so DecompCache
 // entries planned from the stale estimates invalidate themselves on their
 // next lookup: the plan cache self-corrects under data drift instead of
@@ -80,13 +80,6 @@ class FeedbackCollector {
   StatisticsRegistry* stats_;
   FeedbackOptions options_;
 };
-
-// The estimator's predicted cardinality for each atom of `cq` after its
-// local filters, from the statistics in `stats` (nullptr = defaults) — the
-// same per-edge row estimate BuildEdgeStats feeds the decomposition search.
-// Exposed for the collector and tests.
-std::vector<double> EstimateAtomRows(const ConjunctiveQuery& cq,
-                                     const StatisticsRegistry* stats);
 
 }  // namespace htqo
 

@@ -166,12 +166,12 @@ TEST(CostKDecompTest, StatsModelPrefersCheapSeparators) {
   // Two decompositions of a 4-cycle exist depending on which opposite pair
   // anchors the root; the stats model must pick the cheaper one.
   Hypergraph h = Cycle(4);  // edges: 0:(0,1) 1:(1,2) 2:(2,3) 3:(3,0)
-  std::vector<StatsDecompositionCostModel::EdgeStats> stats(4);
+  CardinalityEstimate stats(h.edges(), h.NumVertices());
   // Make edges 0 and 2 tiny, edges 1 and 3 huge.
   for (std::size_t e = 0; e < 4; ++e) {
-    stats[e].rows = (e % 2 == 0) ? 10.0 : 100000.0;
+    stats.SetRows(e, (e % 2 == 0) ? 10.0 : 100000.0);
     for (std::size_t v : h.edge(e).ToVector()) {
-      stats[e].distinct[v] = stats[e].rows;
+      stats.SetDistinct(e, v, stats.rows(e));
     }
   }
   StatsDecompositionCostModel model(h, std::move(stats));
@@ -274,14 +274,15 @@ Hypergraph RandomCyclicShape(uint64_t seed, std::size_t atoms) {
 }
 
 // Deterministic, uneven per-edge statistics for the stats cost model.
-std::vector<StatsDecompositionCostModel::EdgeStats> SeededEdgeStats(
-    const Hypergraph& h) {
-  std::vector<StatsDecompositionCostModel::EdgeStats> stats(h.NumEdges());
+CardinalityEstimate SeededEdgeStats(const Hypergraph& h) {
+  CardinalityEstimate stats(h.edges(), h.NumVertices());
   for (std::size_t e = 0; e < h.NumEdges(); ++e) {
-    stats[e].rows = 10.0 + static_cast<double>((7919 * (e + 1)) % 5000);
+    stats.SetRows(e, 10.0 + static_cast<double>((7919 * (e + 1)) % 5000));
     for (std::size_t v : h.edge(e).ToVector()) {
-      stats[e].distinct[v] = std::min(
-          stats[e].rows, 5.0 + static_cast<double>((31 * (v + 1) + e) % 400));
+      stats.SetDistinct(
+          e, v,
+          std::min(stats.rows(e),
+                   5.0 + static_cast<double>((31 * (v + 1) + e) % 400)));
     }
   }
   return stats;

@@ -152,15 +152,15 @@ TEST(JoinGraphTest, VarsOfAndConnected) {
   ASSERT_TRUE(rq.ok());
   Estimator est(&registry);
   JoinGraph graph = BuildJoinGraph(*rq, est);
-  Bitset first(graph.num_atoms);
+  Bitset first(graph.num_atoms());
   first.Set(0);
-  Bitset last(graph.num_atoms);
+  Bitset last(graph.num_atoms());
   last.Set(2);
   // r1 and r3 share no variable on a line.
-  EXPECT_FALSE(graph.Connected(first, last));
-  Bitset mid(graph.num_atoms);
+  EXPECT_FALSE(graph.VarsOf(first).Intersects(graph.VarsOf(last)));
+  Bitset mid(graph.num_atoms());
   mid.Set(1);
-  EXPECT_TRUE(graph.Connected(first, mid));
+  EXPECT_TRUE(graph.VarsOf(first).Intersects(graph.VarsOf(mid)));
 }
 
 }  // namespace

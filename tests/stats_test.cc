@@ -124,17 +124,6 @@ TEST(EstimatorTest, DefaultsWithoutStatistics) {
                    0.005);
   EXPECT_DOUBLE_EQ(est.ConstantSelectivity("t", 0, "<", Value::Int64(1)),
                    1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(est.JoinSelectivity("a", 0, "b", 0), 0.01);
-}
-
-TEST(EstimatorTest, JoinSelectivityUsesMaxDistinct) {
-  Catalog catalog;
-  catalog.Put("big", MakeRel());   // col 0 has 100 distinct
-  catalog.Put("small", MakeRel()); // col 1 has 10 distinct
-  StatisticsRegistry registry;
-  registry.AnalyzeAll(catalog);
-  Estimator est(&registry);
-  EXPECT_DOUBLE_EQ(est.JoinSelectivity("big", 0, "small", 1), 1.0 / 100.0);
 }
 
 TEST(StatisticsTest, HistogramBoundsAreEquiDepth) {
@@ -207,13 +196,12 @@ TEST(EstimatorTest, ManualStatisticsDriveEstimates) {
   EXPECT_DOUBLE_EQ(est.ConstantSelectivity("declared", 1, "=",
                                            Value::Int64(1)),
                    1.0 / 250.0);
-  // Column 2 is unknown: default equality selectivity, scaled distinct
-  // guess, and default join selectivity.
+  // Column 2 is unknown: default equality selectivity and a scaled
+  // distinct guess.
   EXPECT_DOUBLE_EQ(est.ConstantSelectivity("declared", 2, "=",
                                            Value::Int64(1)),
                    0.005);
   EXPECT_GT(est.DistinctCount("declared", 2), 1.0);
-  EXPECT_DOUBLE_EQ(est.JoinSelectivity("declared", 2, "declared", 0), 0.01);
 }
 
 TEST(EstimatorTest, NotEqualComplementsEqual) {

@@ -231,8 +231,9 @@ fi
 if $want_tsan; then
   # TSan over the tests that actually exercise the thread pool, the atomic
   # governor/meter counters, and the parallel kernels: the parallel
-  # equivalence suite, the governor suite, the fault-injection sweep, and
-  # the suites that drive the bag-program executor on more than one lane.
+  # equivalence suite, the governor suite, the fault-injection sweep, the
+  # suites that drive the bag-program executor on more than one lane, and
+  # the cardinality estimate the parallel search reads from pool lanes.
   # CI's `tsan` job runs the same regex.
   echo "==> sanitized build (TSan)"
   cmake -B build-tsan -S . -DHTQO_SANITIZE=thread
@@ -240,7 +241,7 @@ if $want_tsan; then
   cmake --build build-tsan -j"$(nproc)"
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-      -R 'Parallel|Threading|ThreadPool|Governor|ExecContext|Fault|Server|Admission|Shard|Oracle|Pipeline|AdaptiveReplan|QhdEval|Yannakakis|ClassicHd'
+      -R 'Parallel|Threading|ThreadPool|Governor|ExecContext|Fault|Server|Admission|Shard|Oracle|Pipeline|AdaptiveReplan|QhdEval|Yannakakis|ClassicHd|Estimate'
 fi
 
 if $want_adaptive; then
