@@ -141,52 +141,57 @@ void SemiJoinParallel(benchmark::State& state) {
                           static_cast<int64_t>(state.range(0)));
 }
 
-// The parallel kernels' merge step: rows collected per partition carry a
-// placement tag; the merge restores the serial emission order. Tags are
-// dense (one per partition x probe block), which is what the counting
-// placement in MergeRowsByTag exploits. The *StableSort twin is the old
-// O(n log n) implementation, kept inline here as the comparison baseline.
-std::pair<Relation, std::vector<uint64_t>> MakeTagged(std::size_t rows,
-                                                      std::size_t num_tags) {
+// The Grace driver's merge step: each spilled partition's kernel emits one
+// run of rows tagged with their input row index, ascending within the run;
+// internal::MergeRuns k-way merges the runs back into serial emission order
+// in O(n log runs). The *StableSort twin is the O(n log n) comparison sort
+// the merge replaced, kept inline here as the baseline. Tags are a dense
+// permutation dealt round-robin onto `runs` runs, each then ascending.
+TaggedRuns MakeRuns(std::size_t rows, std::size_t runs) {
   Relation rel = MakeSyntheticRelation(rows, {"a", "b"}, 30, 5);
-  std::vector<uint64_t> tags(rel.NumRows());
-  for (std::size_t i = 0; i < tags.size(); ++i) {
-    tags[i] = (i * 2654435761u) % num_tags;  // scrambled but dense
+  TaggedRuns out{Relation{rel.schema()}, {}, {}};
+  for (std::size_t r = 0; r < runs; ++r) {
+    for (std::size_t i = r; i < rel.NumRows(); i += runs) {
+      out.rows.AddRow(rel.Row(i));
+      out.tags.push_back(i);
+    }
+    out.ends.push_back(out.rows.NumRows());
   }
-  return {std::move(rel), std::move(tags)};
+  return out;
 }
 
-void MergeByTagCounting(benchmark::State& state) {
-  auto [rel, tags] = MakeTagged(static_cast<std::size_t>(state.range(0)),
-                                static_cast<std::size_t>(state.range(1)));
+void MergeRuns(benchmark::State& state) {
+  const TaggedRuns runs = MakeRuns(static_cast<std::size_t>(state.range(0)),
+                                   static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
     ExecContext ctx;
-    Relation out(rel.schema());
-    Status s = internal::MergeRowsByTag(rel, tags, &out, &ctx);
+    Relation out(runs.rows.schema());
+    Status s = internal::MergeRuns(runs, &out, &ctx);
     HTQO_CHECK(s.ok());
     benchmark::DoNotOptimize(out);
   }
-  state.counters["tags"] = static_cast<double>(state.range(1));
+  state.counters["runs"] = static_cast<double>(state.range(1));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(state.range(0)));
 }
 
-void MergeByTagStableSort(benchmark::State& state) {
-  auto [rel, tags] = MakeTagged(static_cast<std::size_t>(state.range(0)),
-                                static_cast<std::size_t>(state.range(1)));
+void MergeRunsStableSort(benchmark::State& state) {
+  const TaggedRuns runs = MakeRuns(static_cast<std::size_t>(state.range(0)),
+                                   static_cast<std::size_t>(state.range(1)));
+  const std::vector<uint64_t>& tags = runs.tags;
   for (auto _ : state) {
-    Relation out(rel.schema());
-    HTQO_CHECK(out.TryReserve(rel.NumRows()).ok());
+    Relation out(runs.rows.schema());
+    HTQO_CHECK(out.TryReserve(runs.rows.NumRows()).ok());
     std::vector<std::size_t> order(tags.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
                        return tags[a] < tags[b];
                      });
-    for (std::size_t idx : order) out.AddRow(rel.Row(idx));
+    for (std::size_t idx : order) out.AddRow(runs.rows.Row(idx));
     benchmark::DoNotOptimize(out);
   }
-  state.counters["tags"] = static_cast<double>(state.range(1));
+  state.counters["runs"] = static_cast<double>(state.range(1));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(state.range(0)));
 }
@@ -244,10 +249,9 @@ BENCHMARK(NestedLoopJoin)->RangeMultiplier(4)->Range(256, 4096);
 BENCHMARK(SemiJoin)->RangeMultiplier(4)->Range(256, 65536);
 BENCHMARK(DistinctOp)->RangeMultiplier(4)->Range(256, 65536);
 BENCHMARK(SpillableDistinctOp)->RangeMultiplier(4)->Range(256, 65536);
-BENCHMARK(MergeByTagCounting)
-    ->ArgsProduct({{16384, 65536, 262144}, {8, 64, 1024}});
-BENCHMARK(MergeByTagStableSort)
-    ->ArgsProduct({{16384, 65536, 262144}, {8, 64, 1024}});
+BENCHMARK(MergeRuns)->ArgsProduct({{16384, 65536, 262144}, {1, 8, 64}});
+BENCHMARK(MergeRunsStableSort)
+    ->ArgsProduct({{16384, 65536, 262144}, {1, 8, 64}});
 
 }  // namespace
 }  // namespace bench

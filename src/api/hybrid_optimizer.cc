@@ -648,7 +648,6 @@ class PipelineRun {
     gopt.node_budget = last_resort ? kNoLimit : options_.search_node_budget;
     gopt.memory_budget_bytes =
         last_resort ? kNoLimit : options_.memory_budget_bytes;
-    if (spill_.has_value()) gopt.soft_memory_bytes = run_.ctx.soft_memory_bytes;
     gopt.cancel_flag = options_.cancel_flag;
     governor_.emplace(gopt);
     run_.ctx.governor = &*governor_;
@@ -901,8 +900,8 @@ class PipelineRun {
     run_.ctx.replan = &controller;
     // The tree's node estimates and every replanning search read this one
     // model; observed scans are pinned into it between searches.
-    StatsDecompositionCostModel model(
-        h_, BuildEdgeStats(rq_.cq, Estimator(stats_)));
+    StatsDecompositionCostModel model(h_,
+                                      LookupEstimate(rq_, stats_, tracer_));
 
     Result<Relation> answer = Status::Internal("unset");
     for (;;) {

@@ -1,15 +1,17 @@
 // Spill-to-disk layer for the memory-adaptive operators.
 //
-// When a join/semijoin/distinct working set would push live charged memory
-// past the soft threshold (ExecContext::soft_memory_bytes), the operators in
-// operators.cc switch to Grace-style recursive partitioning: both inputs are
-// hash-partitioned into temp files owned by a SpillManager, then partition
-// pairs are processed one at a time so only a fanout-th of the data is
-// resident. Each probe-side row carries a 64-bit tag (its original row
-// index); per-partition outputs are merged back in tag order, which
-// reproduces the serial in-memory emission order exactly — the spill path is
-// byte-identical to the in-memory path (see DESIGN.md §6c). Build-side runs,
-// whose order nothing reads, are written untagged.
+// When a join, semijoin, distinct or grouped aggregation working set would
+// push live charged memory past the soft threshold
+// (ExecContext::soft_memory_bytes), the operator hands its inputs to the one
+// Grace driver (GraceEvaluate, exec/operators.h): every input is
+// hash-partitioned into temp files owned by a SpillManager, then partitions
+// are processed one at a time so only a fanout-th of the data is resident,
+// re-partitioning one that is still too large. Each row of the last (probe,
+// or only) input carries a 64-bit tag (its original row index); the
+// per-partition outputs are k-way merged back in tag order, which
+// reproduces the serial in-memory emission order exactly — the spill path
+// is byte-identical to the in-memory path (see DESIGN.md §6c). Build-side
+// runs, whose order nothing reads, are written untagged.
 //
 // Fault sites: spill.open (temp-file creation), spill.write (buffer flush),
 // spill.read (reading a partition back). Every site is wrapped in a bounded

@@ -61,8 +61,9 @@ Result<std::unique_ptr<JoinPlan>> DpOptimize(const JoinGraph& graph,
       Status s = governor->ChargeNodes(1);
       if (!s.ok()) return s;
     }
-    rows[mask] = cost.RowsOf(bitset_of(mask));
-    vars[mask] = graph.VarsOf(bitset_of(mask));
+    const Bitset atoms = bitset_of(mask);
+    rows[mask] = graph.JoinRows(atoms);
+    vars[mask] = graph.VarsOf(atoms);
 
     auto try_split = [&](uint32_t l, uint32_t r) {
       if (governor != nullptr && !governor->ChargeNodes(1).ok()) return;

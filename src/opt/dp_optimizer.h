@@ -27,7 +27,9 @@ struct DpOptions {
   ResourceGovernor* governor = nullptr;
 };
 
-// Optimal plan under the cost model. Supports up to 20 atoms.
+// Optimal plan under the cost model. Supports up to 20 atoms. Each atom
+// subset's rows are read once, straight from `graph` (the estimate `cost`
+// is built over); PlanCostModel's memo serves GEQO's repeated reads.
 Result<std::unique_ptr<JoinPlan>> DpOptimize(const JoinGraph& graph,
                                              const PlanCostModel& cost,
                                              const DpOptions& options =

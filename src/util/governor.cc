@@ -34,7 +34,6 @@ void GovernorStats::Merge(const GovernorStats& other) {
   budget_hits += other.budget_hits;
   memory_hits += other.memory_hits;
   cancellations += other.cancellations;
-  soft_memory_hits += other.soft_memory_hits;
   admission_sheds += other.admission_sheds;
   replan_trips += other.replan_trips;
   // The aggregate keeps the first attempt's reason: that trip is what set
@@ -127,10 +126,6 @@ Status ResourceGovernor::ChargeMemory(std::size_t bytes) {
   if (exhausted()) return trip_status();
   std::size_t live = AtomicSaturatingAdd(&live_memory_, bytes);
   AtomicMax(&peak_memory_, live);
-  if (live > options_.soft_memory_bytes &&
-      !soft_exceeded_.exchange(true, std::memory_order_relaxed)) {
-    if (options_.soft_memory_callback) options_.soft_memory_callback(live);
-  }
   if (live > options_.memory_budget_bytes) {
     return Trip(TripReason::kMemory, &GovernorStats::memory_hits,
                 "memory budget exceeded");
@@ -181,7 +176,6 @@ GovernorStats ResourceGovernor::stats() const {
   out.search_nodes = search_nodes_.load(std::memory_order_relaxed);
   out.exec_charges = exec_charges_.load(std::memory_order_relaxed);
   out.peak_memory_bytes = peak_memory_.load(std::memory_order_relaxed);
-  out.soft_memory_hits = soft_exceeded_.load(std::memory_order_relaxed) ? 1 : 0;
   out.elapsed_seconds = elapsed_seconds();
   return out;
 }

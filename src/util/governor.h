@@ -32,7 +32,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <mutex>
 #include <string>
@@ -107,7 +106,6 @@ struct GovernorStats {
   std::size_t budget_hits = 0;       // trips by the node budget
   std::size_t memory_hits = 0;       // trips by the memory budget
   std::size_t cancellations = 0;     // trips by Cancel()
-  std::size_t soft_memory_hits = 0;  // soft-threshold crossings (no trip)
   std::size_t admission_sheds = 0;   // rejected at the admission door
   // Mid-query replans taken (soft trips: the query still answered, so these
   // are excluded from trips() and never set trip_reason).
@@ -132,13 +130,6 @@ class ResourceGovernor {
     Clock::time_point deadline = Clock::time_point::max();
     std::size_t node_budget = std::numeric_limits<std::size_t>::max();
     std::size_t memory_budget_bytes = std::numeric_limits<std::size_t>::max();
-    // Soft memory threshold: crossing it never trips — it flips a sticky
-    // flag (and fires the callback once) that the execution layer reads to
-    // switch operators into spill mode before the hard budget is reached.
-    std::size_t soft_memory_bytes = std::numeric_limits<std::size_t>::max();
-    // Invoked at most once, from whichever thread first crosses the soft
-    // threshold, with the live byte balance at the crossing. May be empty.
-    std::function<void(std::size_t)> soft_memory_callback;
     // External cooperative-cancel flag, polled at every checkpoint next to
     // the internal Cancel() request. One flag can cover a whole group of
     // governors: the shell's SIGINT handler and the query server's drain
@@ -175,10 +166,6 @@ class ResourceGovernor {
   // to this when deciding whether to take the spill path.
   std::size_t live_memory_bytes() const {
     return live_memory_.load(std::memory_order_relaxed);
-  }
-  // Sticky: true once live memory has ever crossed soft_memory_bytes.
-  bool soft_memory_exceeded() const {
-    return soft_exceeded_.load(std::memory_order_relaxed);
   }
 
   // Polls deadline, cancellation, and the governor.checkpoint fault site
@@ -222,7 +209,6 @@ class ResourceGovernor {
   std::atomic<std::size_t> peak_memory_{0};
   std::atomic<bool> tripped_{false};
   std::atomic<bool> cancel_requested_{false};
-  std::atomic<bool> soft_exceeded_{false};
   // Trip record: written once by the first tripping thread, then read-only.
   // trip_counters_ holds the deadline/budget/memory/cancel hit counts.
   mutable std::mutex trip_mu_;

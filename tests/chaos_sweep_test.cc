@@ -23,6 +23,7 @@
 #include "api/hybrid_optimizer.h"
 #include "obs/flightrec.h"
 #include "stats/feedback.h"
+#include "test_util.h"
 #include "util/fault_injector.h"
 #include "workload/query_gen.h"
 #include "workload/synthetic.h"
@@ -73,9 +74,15 @@ class ChaosSweepTest : public ::testing::Test {
 
 TEST_F(ChaosSweepTest, EverySiteEveryProbabilityEveryThreadCount) {
   HybridOptimizer optimizer(&catalog_, &registry_);
+  // The GROUP BY query puts the spill sites inside grouped aggregation's
+  // partitioning; the other two reach them through joins and DISTINCT.
+  const std::string agg_sql =
+      "SELECT r1.a AS k, count(*) AS n, sum(r3.b) AS s FROM r1, r2, r3 "
+      "WHERE r1.b = r2.a AND r2.b = r3.a GROUP BY r1.a ORDER BY k";
   const std::vector<std::pair<std::string, OptimizerMode>> workload = {
       {ChainQuerySql(4), OptimizerMode::kQhdHybrid},
       {LineQuerySql(5), OptimizerMode::kDpStatistics},
+      {agg_sql, OptimizerMode::kQhdHybrid},
   };
 
   // Fault-free references (per query × thread count), plus a sanity check
@@ -84,11 +91,17 @@ TEST_F(ChaosSweepTest, EverySiteEveryProbabilityEveryThreadCount) {
   std::map<std::pair<std::size_t, std::size_t>, Relation> reference;
   for (std::size_t q = 0; q < workload.size(); ++q) {
     for (std::size_t threads : {1, 4}) {
-      auto run = optimizer.Run(workload[q].first,
-                               ChaosOptions(workload[q].second, threads));
+      RunOptions options = ChaosOptions(workload[q].second, threads);
+      Tracer tracer;
+      options.trace.tracer = &tracer;
+      auto run = optimizer.Run(workload[q].first, options);
       ASSERT_TRUE(run.ok()) << run.status().message();
       ASSERT_GT(run->spill.spill_events, 0u)
           << "chaos configuration does not reach the spill sites";
+      if (workload[q].first == agg_sql) {
+        ASSERT_GE(AggregationSpillDepth(tracer), 0)
+            << "chaos configuration does not spill the aggregation";
+      }
       reference[{q, threads}] = run->output;
     }
   }

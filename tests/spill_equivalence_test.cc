@@ -17,7 +17,9 @@
 #include <vector>
 
 #include "api/hybrid_optimizer.h"
+#include "exec/operators.h"
 #include "exec/spill.h"
+#include "test_util.h"
 #include "storage/value.h"
 #include "util/fault_injector.h"
 #include "util/rng.h"
@@ -499,7 +501,8 @@ TEST_F(SpillKernelFixture, LargeJoinsSpillAndStayByteIdentical) {
 
 TEST_F(SpillKernelFixture, AggregationAndDistinctSpillMatchInMemory) {
   // GROUP BY (the executor's hash aggregation) and SELECT DISTINCT both
-  // spill through their own partitioned paths.
+  // spill through the one Grace driver (GraceEvaluate), each with its own
+  // per-partition kernel.
   const std::string agg_sql =
       "SELECT r1.a AS k, count(*) AS n, sum(r3.b) AS s FROM r1, r2, r3 "
       "WHERE r1.b = r2.a AND r2.b = r3.a GROUP BY r1.a ORDER BY k";
@@ -523,6 +526,137 @@ TEST_F(SpillKernelFixture, AggregationAndDistinctSpillMatchInMemory) {
           << threads << " threads: " << sql;
     }
   }
+}
+
+TEST(SpillAggregationTest, RecursingAggregationIsByteIdenticalToInMemory) {
+  // Grouped aggregation forced deep into the Grace driver: 6000 rows over
+  // 1500 groups with a ~2 KiB soft threshold, so partitions re-split twice
+  // before they run the in-memory kernel. The double sum mixes magnitudes
+  // 1e12 apart, so any change in the order rows reach an accumulator moves
+  // its bits.
+  Catalog catalog;
+  Relation m{Schema({Column{"k", ValueType::kInt64},
+                     Column{"v", ValueType::kDouble}})};
+  for (int64_t i = 0; i < 6000; ++i) {
+    const double v = (i % 3 == 0 ? 1e12 : 0.1) * static_cast<double>(i % 17) +
+                     static_cast<double>(i) / 7.0;
+    m.AddRow({Value::Int64((i * 7919) % 1500), Value::Double(v)});
+  }
+  catalog.Put("m", std::move(m));
+  StatisticsRegistry registry;
+  registry.AnalyzeAll(catalog);
+  HybridOptimizer optimizer(&catalog, &registry);
+  const std::string sql =
+      "SELECT m.k AS k, sum(m.v) AS s, count(*) AS n FROM m GROUP BY m.k";
+
+  RunOptions unlimited;
+  unlimited.tid_mode = TidMode::kAllAtoms;
+  auto reference = optimizer.Run(sql, unlimited);
+  ASSERT_TRUE(reference.ok()) << reference.status().message();
+  ASSERT_EQ(reference->output.NumRows(), 1500u);
+
+  for (std::size_t threads : {1, 4}) {
+    RunOptions spill = unlimited;
+    spill.num_threads = threads;
+    spill.enable_spill = true;
+    spill.memory_budget_bytes = 4u << 20;
+    spill.soft_memory_fraction = 0.0005;  // soft ≈ 2 KiB
+    Tracer tracer;
+    spill.trace.tracer = &tracer;
+    auto run = optimizer.Run(sql, spill);
+    ASSERT_TRUE(run.ok()) << threads << " threads: "
+                          << run.status().message();
+    EXPECT_TRUE(ByteIdentical(reference->output, run->output))
+        << threads << " threads";
+    // The aggregation itself spilled and re-partitioned at depths 1 and 2.
+    EXPECT_GE(AggregationSpillDepth(tracer), 2) << threads << " threads";
+    EXPECT_GE(run->spill.max_recursion_depth, 3u);
+  }
+}
+
+// --- The Grace driver's merge and join on the tpch_spill shape. ------------
+
+Relation TagRows(std::initializer_list<int64_t> values) {
+  Relation rel{Schema({Column{"v", ValueType::kInt64}})};
+  for (int64_t v : values) rel.AddRow({Value::Int64(v)});
+  return rel;
+}
+
+std::vector<int64_t> Column0(const Relation& rel) {
+  std::vector<int64_t> out;
+  for (std::size_t r = 0; r < rel.NumRows(); ++r) {
+    out.push_back(rel.At(r, 0).AsInt64());
+  }
+  return out;
+}
+
+TEST(SpillMergeTest, MergesRunsByTagKeepingRunOrderForEqualTags) {
+  ExecContext ctx;
+  // Runs (as the driver records them): [1, 4, 4], [], [0, 2, 5, 7], [],
+  // [7]. Equal tags within a run keep their order; the tag shared by the
+  // last two runs keeps run order.
+  TaggedRuns runs{TagRows({10, 40, 41, 0, 20, 50, 70, 71}),
+                  {1, 4, 4, 0, 2, 5, 7, 7},
+                  {3, 3, 7, 7, 8}};
+  Relation out{runs.rows.schema()};
+  ASSERT_TRUE(internal::MergeRuns(runs, &out, &ctx).ok());
+  EXPECT_EQ(Column0(out),
+            (std::vector<int64_t>{0, 10, 20, 40, 41, 50, 70, 71}));
+
+  // A single run comes back unchanged.
+  TaggedRuns single{TagRows({5, 6, 7}), {2, 2, 9}, {3}};
+  Relation one{single.rows.schema()};
+  ASSERT_TRUE(internal::MergeRuns(single, &one, &ctx).ok());
+  EXPECT_EQ(Column0(one), (std::vector<int64_t>{5, 6, 7}));
+
+  // Only empty runs, and no runs at all, merge to nothing.
+  for (std::vector<std::size_t> ends :
+       {std::vector<std::size_t>{0, 0, 0}, std::vector<std::size_t>{}}) {
+    TaggedRuns empty{TagRows({}), {}, ends};
+    Relation none{empty.rows.schema()};
+    ASSERT_TRUE(internal::MergeRuns(empty, &none, &ctx).ok());
+    EXPECT_EQ(none.NumRows(), 0u);
+  }
+}
+
+TEST(SpillJoinTest, SelectiveSpilledJoinMatchesInMemory) {
+  // The tpch_spill shape: a large probe side of which under 1% matches a
+  // small build side, and build keys that repeat, so one probe row meets
+  // several build rows and the spilled join must reproduce their LIFO
+  // chain order as well as the probe order.
+  Relation build{Schema({Column{"k", ValueType::kInt64},
+                         Column{"b", ValueType::kInt64}})};
+  for (int64_t i = 0; i < 1500; ++i) {
+    build.AddRow({Value::Int64(i % 500), Value::Int64(i)});
+  }
+  Relation probe{Schema({Column{"p", ValueType::kInt64},
+                         Column{"k", ValueType::kInt64}})};
+  std::size_t matching = 0;
+  for (int64_t i = 0; i < 12000; ++i) {
+    // Every 150th probe row hits a build key; the rest miss.
+    const bool hit = i % 150 == 0;
+    matching += hit ? 1 : 0;
+    probe.AddRow({Value::Int64(i),
+                  Value::Int64(hit ? (i / 150) % 500 : 1000 + i * 31)});
+  }
+  ASSERT_LT(matching * 100, probe.NumRows());
+
+  ExecContext in_memory;
+  auto reference = NaturalHashJoin(probe, build, &in_memory);
+  ASSERT_TRUE(reference.ok()) << reference.status().message();
+  ASSERT_EQ(reference->NumRows(), matching * 3);
+
+  SpillManager manager{SpillOptions{}};
+  ExecContext spilled;
+  spilled.spill = &manager;
+  spilled.soft_memory_bytes = 1024;
+  auto run = NaturalHashJoin(probe, build, &spilled);
+  ASSERT_TRUE(run.ok()) << run.status().message();
+  EXPECT_TRUE(ByteIdentical(*reference, *run));
+  EXPECT_EQ(manager.counters().spill_events, 1u);
+  EXPECT_GE(manager.counters().max_recursion_depth, 2u);
+  EXPECT_EQ(spilled.rows_charged.load(), in_memory.rows_charged.load());
+  EXPECT_EQ(spilled.hash_probes.load(), in_memory.hash_probes.load());
 }
 
 // --- TPC-H acceptance: budget below the hash high-water. --------------------

@@ -216,8 +216,9 @@ fi
 
 if $want_chaos; then
   # The chaos sweep under ASan+UBSan: fault injection at every registered
-  # site, spilling forced so the spill.* sites are reached, asserting typed
-  # failures and never a wrong answer. Reuses build-asan/.
+  # site, spilling forced so the spill.* sites are reached (joins, DISTINCT
+  # and grouped aggregation), asserting typed failures and never a wrong
+  # answer. Reuses build-asan/.
   echo "==> chaos sweep (ASan+UBSan + fault injection)"
   cmake -B build-asan -S . -DHTQO_SANITIZE=ON
   require_sanitize build-asan ON
