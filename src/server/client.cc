@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <errno.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -27,9 +28,7 @@ double ParseDoubleField(const Frame& frame, std::string_view key) {
 Client::Client(ClientOptions options)
     : options_(std::move(options)), rng_(options_.backoff_jitter_seed) {}
 
-Client::~Client() {
-  if (fd_ >= 0) ::close(fd_);
-}
+Client::~Client() { Close(); }
 
 Status Client::Connect() {
   if (fd_ >= 0) return Status::Internal("already connected");
@@ -248,10 +247,14 @@ Status Client::Ping() {
 
 void Client::Close() {
   if (fd_ < 0) return;
-  Frame quit;
-  quit.type = FrameType::kQuit;
-  Frame reply;
-  (void)RoundTrip(quit, &reply);  // best effort: BYE or bust
+  // Half-close, then wait (up to 100 ms per poll) for the server's EOF: the
+  // session has then ended, so the next accept joins its thread, freeing
+  // its allocator arena, before it starts another session.
+  ::shutdown(fd_, SHUT_WR);
+  pollfd pfd{fd_, POLLIN, 0};
+  char sink[256];
+  while (::poll(&pfd, 1, 100) > 0 && ::read(fd_, sink, sizeof(sink)) > 0) {
+  }
   ::close(fd_);
   fd_ = -1;
   carry_.clear();

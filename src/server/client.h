@@ -93,8 +93,8 @@ class Client {
 
   Status Ping();
 
-  // Polite goodbye (QUIT, await BYE) then close. The destructor just
-  // closes.
+  // Half-closes and waits briefly for the server to end the session, then
+  // closes (the destructor too), so a reconnect never overlaps it.
   void Close();
 
   bool connected() const { return fd_ >= 0; }

@@ -101,10 +101,10 @@ void Session::Run() {
     last_activity = Clock::now();
     if (!HandleFrame(frame)) break;
   }
-  // Half-close immediately: a peer still waiting on a response must see
-  // EOF now, not when the server gets around to reaping this session.
-  ::shutdown(fd_, SHUT_RDWR);
+  // Finished, then half-close at once: a blocked peer sees EOF now, and a
+  // peer that saw it and reconnects finds this session reapable.
   finished_.store(true, std::memory_order_release);
+  ::shutdown(fd_, SHUT_RDWR);
 }
 
 bool Session::HandleFrame(const Frame& frame) {

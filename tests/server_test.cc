@@ -575,9 +575,10 @@ TEST_F(ServerTest, PingMetricsAndProtocolErrorsOverTcp) {
             std::string::npos);
   client.Close();
 
-  // A garbage header gets a typed ERR and a closed connection — and the
-  // server keeps serving.
-  {
+  // Raw connections: a garbage header gets a typed ERR and a closed
+  // connection, and QUIT (which Client never sends) gets BYE then EOF; the
+  // server keeps serving after both.
+  for (const std::string request : {"NOT A FRAME\n", "QUIT\n"}) {
     int fd = socket(AF_INET, SOCK_STREAM, 0);
     ASSERT_GE(fd, 0);
     sockaddr_in addr{};
@@ -586,13 +587,21 @@ TEST_F(ServerTest, PingMetricsAndProtocolErrorsOverTcp) {
     inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
     ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
               0);
-    ASSERT_EQ(write(fd, "NOT A FRAME\n", 12), 12);
+    ASSERT_EQ(write(fd, request.data(), request.size()),
+              static_cast<ssize_t>(request.size()));
     std::string carry;
-    Frame err;
-    ASSERT_TRUE(ReadFrame(fd, &carry, &err, 5000).ok());
-    EXPECT_EQ(err.type, FrameType::kErr);
-    EXPECT_EQ(StatusCodeFromWireName(err.GetString("code")),
-              StatusCode::kInvalidArgument);
+    Frame reply;
+    ASSERT_TRUE(ReadFrame(fd, &carry, &reply, 5000).ok()) << request;
+    if (request == "QUIT\n") {
+      EXPECT_EQ(reply.type, FrameType::kBye);
+    } else {
+      EXPECT_EQ(reply.type, FrameType::kErr);
+      EXPECT_EQ(StatusCodeFromWireName(reply.GetString("code")),
+                StatusCode::kInvalidArgument);
+    }
+    EXPECT_EQ(ReadFrame(fd, &carry, &reply, 5000).code(),
+              StatusCode::kNotFound)
+        << request;
     close(fd);
   }
   Client again(ClientFor(server, "t1"));
@@ -837,6 +846,25 @@ TEST_F(ServerTest, DebugVerbServesIntrospectionJson) {
   ASSERT_FALSE(bogus.ok());
   EXPECT_NE(bogus.status().message().find("sessions|queues"),
             std::string::npos);
+
+  // A client that closes (by Close() or by its destructor) and reconnects
+  // never overlaps its old session: the close waits for the session's EOF,
+  // and the next accept reaps the finished session before listing the new
+  // one.
+  for (int round = 0; round < 20; ++round) {
+    {
+      Client gone(ClientFor(server, "gone"));
+      ASSERT_TRUE(gone.Connect().ok());
+      if (round % 2 == 0) gone.Close();
+    }
+    Client next(ClientFor(server, "next"));
+    ASSERT_TRUE(next.Connect().ok());
+    auto live = next.Debug("sessions");
+    ASSERT_TRUE(live.ok()) << live.status().message();
+    EXPECT_EQ(live->find("\"tenant\":\"gone\""), std::string::npos)
+        << "round " << round << ": " << *live;
+    next.Close();
+  }
 
   client.Close();
   ASSERT_TRUE(server.Drain(5.0).ok());
